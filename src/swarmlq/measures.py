@@ -22,7 +22,7 @@ class Density:
     Parameters
     ----------
     domain : (float, float)
-        Closed interval ``[x_lo, x_hi]`` containing all mass.
+        Closed finite interval ``[x_lo, x_hi]`` containing all mass.
     atoms : sequence of (position, mass), optional
         Point masses.  Coincident positions (within ``ATOM_MERGE_REL`` of the
         domain length) are merged by summing masses.
@@ -37,6 +37,8 @@ class Density:
 
     def __init__(self, domain, atoms=None, edges=None, values=None, normalize=False):
         lo, hi = float(domain[0]), float(domain[1])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"domain [{lo}, {hi}] must be finite")
         if not hi > lo:
             raise ValueError(f"empty domain [{lo}, {hi}]")
         self.domain = (lo, hi)
@@ -47,6 +49,8 @@ class Density:
         else:
             ax = np.empty(0)
             am = np.empty(0)
+        if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(am))):
+            raise ValueError("atom positions and masses must be finite")
         if np.any(am < 0):
             raise ValueError("atom masses must be nonnegative")
         ax, am = ax[am > 0], am[am > 0]
@@ -59,6 +63,8 @@ class Density:
             values = np.asarray(values, dtype=float)
             if edges.ndim != 1 or len(edges) != len(values) + 1:
                 raise ValueError("edges must have one more entry than values")
+            if not (np.all(np.isfinite(edges)) and np.all(np.isfinite(values))):
+                raise ValueError("edges and cell values must be finite")
             if np.any(np.diff(edges) <= 0):
                 raise ValueError("edges must be strictly increasing")
             if np.any(values < 0):
@@ -136,6 +142,19 @@ class Density:
     def uniform(cls, domain):
         lo, hi = domain
         return cls(domain, edges=np.array([lo, hi]), values=np.array([1.0 / (hi - lo)]))
+
+    def cells_split_at_atoms(self):
+        """Cell edges refined by the atoms strictly inside the histogram.
+
+        Returns ``(cuts, values)``: the refined edges and the density value
+        of the cell each piece lies in.
+        """
+        e = self.edges
+        if not len(e):
+            return np.empty(0), np.empty(0)
+        inner = self.atom_x[(self.atom_x > e[0]) & (self.atom_x < e[-1])]
+        cuts = np.union1d(e, inner)
+        return cuts, self.values[np.searchsorted(e, cuts[:-1], side="right") - 1]
 
     def to_record(self):
         """Plain-dict form used by the CLI config / artifact files."""
@@ -246,35 +265,24 @@ class QuantileFunction:
         return np.asarray(out).reshape(-1, 3)
 
     def mean(self):
-        return _pwlin.integral(self.z, self.values, 0.0, 1.0)
+        return float(_pwlin.integral(self.z, self.values, 0.0, 1.0)[0])
 
 
 def cdf_of(d):
     """CDF of a density: linear ramps over cells, jumps at atoms."""
     lo, hi = d.domain
-    xs = [lo]
-    Fs = [0.0]
-    c = 0.0
-    for kind, a, b, w in _support_items(d):
-        if kind == "cell":
-            if a > xs[-1]:
-                xs.append(a)
-                Fs.append(c)
-            c += w * (b - a)
-            xs.append(b)
-            Fs.append(c)
-        else:  # atom at a with mass w
-            if a > xs[-1]:
-                xs.append(a)
-                Fs.append(c)
-            xs.append(a)
-            c += w
-            Fs.append(c)
-    if hi > xs[-1]:
-        xs.append(hi)
-        Fs.append(c)
-    F = np.asarray(Fs) / c  # c == 1 within MASS_TOL; division pins F(hi) = 1 exactly
-    x, F = _pwlin.dedupe(np.asarray(xs), F)
+    a, b, m = _support_items(d)
+    c = np.cumsum(m)
+    c_prev = np.concatenate([[0.0], c[:-1]])
+    # an item opens with a point at its start unless the previous item ended there
+    opens = a > np.concatenate([[lo], b[:-1]])
+    x = _interleave(a, b, opens)
+    F = _interleave(c_prev, c, opens)
+    if hi > x[-1]:
+        x, F = np.append(x, hi), np.append(F, c[-1])
+    x = np.concatenate([[lo], x])
+    F = np.concatenate([[0.0], F]) / c[-1]  # c == 1 within MASS_TOL; pins F(hi) = 1
+    x, F = _pwlin.dedupe(x, F)
     return CDFFunction(x, F, d.domain)
 
 
@@ -284,50 +292,37 @@ def quantile_of(d):
     Atoms become flats whose z-length equals the atom mass; zero-mass gaps
     interior to the support become jumps.
     """
-    zs = []
-    Qs = []
-    c = 0.0
-    for kind, a, b, w in _support_items(d):
-        if kind == "cell":
-            if w <= 0.0:
-                continue
-            if not zs or Qs[-1] != a:
-                zs.append(c)
-                Qs.append(a)
-            c += w * (b - a)
-            zs.append(c)
-            Qs.append(b)
-        else:
-            if not zs or Qs[-1] != a:
-                zs.append(c)
-                Qs.append(a)
-            c += w
-            zs.append(c)
-            Qs.append(a)
-    if not zs:
+    a, b, m = _support_items(d)
+    if not len(a):
         raise ValueError("density has no support")
-    z = np.asarray(zs) / c
-    return QuantileFunction(z, np.asarray(Qs), domain=d.domain)
+    c = np.cumsum(m)
+    opens = np.ones(len(a), dtype=bool)
+    opens[1:] = b[:-1] != a[1:]
+    z = _interleave(np.concatenate([[0.0], c[:-1]]), c, opens) / c[-1]
+    return QuantileFunction(z, _interleave(a, b, opens), domain=d.domain)
+
+
+def _interleave(first, second, keep_first):
+    """``first[i], second[i]`` in turn, dropping ``first[i]`` where not kept."""
+    pairs = np.column_stack([first, second])
+    return pairs[np.column_stack([keep_first, np.ones_like(keep_first)])]
 
 
 def _support_items(d):
-    """Cells (split at interior atoms) and atoms, ordered along the axis.
+    """Atoms and positive cell pieces (cells split at atoms) along the axis.
 
-    Sort key places an atom at x before any cell starting at x so the CDF
-    jumps before it resumes ramping.
+    Returns ``(start, end, mass)`` per item; an atom has ``start == end``.
+    At equal start an atom comes before the cell piece, so the CDF jumps
+    before it resumes ramping.
     """
-    items = []
-    for i in range(len(d.values)):
-        a, b, v = d.edges[i], d.edges[i + 1], d.values[i]
-        inside = d.atom_x[(d.atom_x > a) & (d.atom_x < b)]
-        cuts = np.concatenate([[a], inside, [b]])
-        for j in range(len(cuts) - 1):
-            if cuts[j + 1] > cuts[j]:
-                items.append((cuts[j], 1, "cell", cuts[j], cuts[j + 1], v))
-    for x, m in zip(d.atom_x, d.atom_m):
-        items.append((x, 0, "atom", x, x, m))
-    items.sort(key=lambda t: (t[0], t[1]))
-    return [(kind, a, b, w) for _, _, kind, a, b, w in items]
+    cuts, vals = d.cells_split_at_atoms()
+    pos = vals > 0
+    a = np.concatenate([d.atom_x, cuts[:-1][pos]])
+    b = np.concatenate([d.atom_x, cuts[1:][pos]])
+    m = np.concatenate([d.atom_m, vals[pos] * np.diff(cuts)[pos]])
+    is_cell = np.repeat([0, 1], [len(d.atom_x), int(pos.sum())])
+    order = np.lexsort((is_cell, a))
+    return a[order], b[order], m[order]
 
 
 def cdf_from_quantile(q):

@@ -86,40 +86,31 @@ def average_wrt_partition(qd, p):
     cell; on the singleton continuum ``qd`` is returned unchanged.  The
     result is again a monotone quantile function.
     """
-    z_pieces = [np.array([0.0])]
-    v_pieces = [np.array([qd(0.0, side="right")])]
-    prev = 0.0
-    for (z0, z1), m in zip(p.cells, _cell_means(qd, p)):
-        if z0 > prev:
-            zs, vs = _restrict(qd, prev, z0)
-            z_pieces.append(zs)
-            v_pieces.append(vs)
-        z_pieces.append(np.array([z0, z1]))
-        v_pieces.append(np.array([m, m]))
-        prev = z1
-    if prev < 1.0:
-        zs, vs = _restrict(qd, prev, 1.0)
-        z_pieces.append(zs)
-        v_pieces.append(vs)
-    z_pieces.append(np.array([1.0]))
-    v_pieces.append(np.array([qd(1.0, side="left")]))
-    z, v = _pwlin.dedupe(np.concatenate(z_pieces), np.concatenate(v_pieces))
+    lo, hi = p.cells[:, 0], p.cells[:, 1]
+    means = cell_means(qd, p.cells)
+    # the percentile axis reads gap 0, cell 0, gap 1, ..., cell k-1, gap k;
+    # points sort by slot (2g+1 for gap g, 2c+2 for cell c), then stably by z
+    gap_lo = np.concatenate([[0.0], hi])
+    gap_hi = np.concatenate([lo, [1.0]])
+    g = np.flatnonzero(gap_hi > gap_lo)
+    gi = np.searchsorted(hi, qd.z, side="left")
+    inner = (qd.z > gap_lo[gi]) & (qd.z < gap_hi[gi])
+    k = len(means)
+    z = np.concatenate([[0.0], gap_lo[g], qd.z[inner], gap_hi[g], lo, hi, [1.0]])
+    v = np.concatenate([qd([0.0], side="right"), qd(gap_lo[g], side="right"),
+                        qd.values[inner], qd(gap_hi[g], side="left"),
+                        means, means, qd([1.0], side="left")])
+    slot = np.concatenate([[0], 2 * g + 1, 2 * gi[inner] + 1, 2 * g + 1,
+                           2 * np.arange(k) + 2, 2 * np.arange(k) + 2, [2 * k + 2]])
+    order = np.lexsort((z, slot))
+    z, v = _pwlin.dedupe(z[order], v[order])
     return QuantileFunction(z, v, domain=qd.domain)
 
 
-def _cell_means(qd, p):
-    return np.array([
-        _pwlin.integral(qd.z, qd.values, z0, z1) / (z1 - z0) for z0, z1 in p.cells
-    ])
-
-
-def _restrict(qd, lo, hi):
-    """Breakpoints of ``qd`` restricted to ``(lo, hi)``, with limit endpoints."""
-    inside = (qd.z > lo) & (qd.z < hi)
-    zs = np.concatenate([[lo], qd.z[inside], [hi]])
-    vs = np.concatenate([[qd(lo, side="right")], qd.values[inside],
-                         [qd(hi, side="left")]])
-    return zs, vs
+def cell_means(qd, cells):
+    """Exact mean of the quantile ``qd`` over each row ``(z_lo, z_hi)`` of ``cells``."""
+    lo, hi = cells[:, 0], cells[:, 1]
+    return _pwlin.integral(qd.z, qd.values, lo, hi) / (hi - lo)
 
 
 def averaged_density(d, p):

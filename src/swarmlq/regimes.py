@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericalError
 from .measures import (Density, QuantileFunction, density_from_quantile,
                        quantile_of)
 from .partition import (LevelSetPartition, average_wrt_partition,
-                        build_partition, limit_constant_K)
+                        build_partition, cell_means, limit_constant_K)
 from .transport import (DensityPath, GridQuantileVelocity,
                         QuantileReassembledVelocity, VelocityField)
 
@@ -106,9 +106,8 @@ class SampledDemand(DemandSignal):
         if w == 1.0:
             return self._slices[j + 1]
         qa, qb = self._slices[j], self._slices[j + 1]
-        z, v = _pwlin.combine([(qa.z, qa.values), (qb.z, qb.values)],
-                              lambda a, b: (1.0 - w) * a + w * b)
-        return QuantileFunction(z, v)
+        z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+        return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
 
 
 def gaussian_mixture_demand(means, sigmas, base_weights, sin_amplitudes,
@@ -354,6 +353,9 @@ def _demand_matrix(problems, slices):
     point problems take the one-sided slice value at their percentile.
     """
     out = np.empty((len(problems.kinds), len(slices)))
+    ic = np.array([k for k, kind in enumerate(problems.kinds) if kind[0] == "cell"],
+                  dtype=int)
+    cells = np.array([problems.kinds[k][1:3] for k in ic]).reshape(-1, 2)
     pts_left = [(k, kind[1]) for k, kind in enumerate(problems.kinds)
                 if kind[0] == "point" and kind[2] == "left"]
     pts_right = [(k, kind[1]) for k, kind in enumerate(problems.kinds)
@@ -363,10 +365,8 @@ def _demand_matrix(problems, slices):
     il = np.array([k for k, _ in pts_left], dtype=int)
     ir = np.array([k for k, _ in pts_right], dtype=int)
     for j, qd in enumerate(slices):
-        for k, kind in enumerate(problems.kinds):
-            if kind[0] == "cell":
-                _, z0, z1, _ = kind
-                out[k, j] = _pwlin.integral(qd.z, qd.values, z0, z1) / (z1 - z0)
+        if len(ic):
+            out[ic, j] = cell_means(qd, cells)
         if len(il):
             out[il, j] = qd(zl, side="left")
         if len(ir):
@@ -514,28 +514,15 @@ def solve_static(scenario, save_every=1):
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
     breakdown = evaluate_cost(path, vel, scenario.demand, alpha, limit=K)
 
-    r_cells, u_cells, y_cells, d_cells, w_cells, labels = [], [], [], [], [], []
     phi = lq.transition_r(params, t_grid, 0.0)
     p_t = lq.riccati(params)(t_grid)
-    for c, (z0, z1, level) in enumerate(q0.flat_intervals):
-        dbar = _pwlin.integral(qd.z, qd.values, z0, z1) / (z1 - z0)
-        r_c = phi * level + (1.0 - phi) * dbar
-        u_c = -(p_t / alpha ** 2) * (r_c - dbar)
-        r_cells.append(r_c)
-        u_cells.append(u_c)
-        y_cells.append(-p_t * dbar)
-        d_cells.append(np.full_like(t_grid, dbar))
-        w_cells.append(z1 - z0)
-        labels.append(f"cell{c}")
+    dbar = cell_means(qd, part.cells)[:, None]
+    r_cells = phi * part.levels[:, None] + (1.0 - phi) * dbar
+    d_cells = np.broadcast_to(dbar, r_cells.shape).copy()
     fam = ScalarFamily(
-        t_grid, labels, np.asarray(w_cells),
-        np.vstack(r_cells) if r_cells else np.empty((0, nt + 1)),
-        np.vstack(u_cells) if u_cells else np.empty((0, nt + 1)),
-        np.vstack(y_cells) if y_cells else np.empty((0, nt + 1)),
-        np.vstack(d_cells) if d_cells else np.empty((0, nt + 1)),
-        p_t,
-        np.asarray([lq.static_cost(params, r[0], dd[0])
-                    for r, dd in zip(r_cells, d_cells)]),
+        t_grid, [f"cell{c}" for c in range(part.n_cells)], part.masses,
+        r_cells, -(p_t / alpha ** 2) * (r_cells - dbar), -p_t * dbar, d_cells, p_t,
+        lq.static_cost(params, r_cells[:, 0], dbar[:, 0]),
     )
     return OptimalControlSolution(t_grid, path, vel, qvel, breakdown,
                                   float(closed), part, fam,
@@ -727,7 +714,7 @@ def evaluate_cost(trajectory, velocity, demand, alpha, limit=None, average=False
     assignment = float(np.trapezoid(a_t, t))
     motion = float(np.trapezoid(mz_t, t))
     if average:
-        span = t[-1] - t[0]
+        span = float(t[-1] - t[0])
         assignment /= span
         motion /= span
     total = assignment + alpha ** 2 * motion

@@ -165,7 +165,8 @@ def advect_density(r0, v, T, nt, save_every=1):
     here and raises.
     """
     n_atoms = len(r0.atom_x)
-    edges0, masses = _split_cells_at_atoms(r0)
+    edges0, values0 = r0.cells_split_at_atoms()
+    masses = values0 * np.diff(edges0)
     pts = np.concatenate([r0.atom_x, edges0])
     span = max(r0.domain[1] - r0.domain[0], 1.0)
 
@@ -190,23 +191,6 @@ def advect_density(r0, v, T, nt, save_every=1):
             ))
             ts.append(t)
     return DensityPath(np.asarray(ts), dens)
-
-
-def _split_cells_at_atoms(r0):
-    """Cell edges refined by interior atom positions, with per-cell masses."""
-    if not len(r0.edges):
-        return np.empty(0), np.empty(0)
-    edges = [r0.edges[0]]
-    masses = []
-    for i in range(len(r0.values)):
-        a, b, v = r0.edges[i], r0.edges[i + 1], r0.values[i]
-        inside = r0.atom_x[(r0.atom_x > a) & (r0.atom_x < b)]
-        cuts = np.concatenate([[a], inside, [b]])
-        for j in range(len(cuts) - 1):
-            if cuts[j + 1] > cuts[j]:
-                edges.append(cuts[j + 1])
-                masses.append(v * (cuts[j + 1] - cuts[j]))
-    return np.asarray(edges), np.asarray(masses)
 
 
 def _u_at_nodes(u, z, t):
@@ -328,7 +312,9 @@ class QuantileReassembledVelocity(VelocityField):
         on_node = i_hi <= i_lo  # x coincides with a node value
         gap_or_span = ~on_node
         res = np.empty(len(xm))
-        res[on_node] = u_row[i_hi[on_node]]
+        # x at a run of equal-Q nodes: an atom's flat may be flanked by the
+        # one-sided limit nodes of adjoining continua, so take the run's middle
+        res[on_node] = u_row[(i_hi[on_node] + i_lo[on_node]) // 2]
         il = i_lo[gap_or_span]
         ih = i_hi[gap_or_span]
         xg = xm[gap_or_span]

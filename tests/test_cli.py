@@ -87,6 +87,7 @@ def test_solve_periodic_artifacts(tmp_path):
     assert (out / "freq.csv").exists()
     lines = (out / "freq.csv").read_text().splitlines()
     assert lines[1] == "cell,k,omega,d_hat_abs,r_hat_abs,gain"
+    assert "np.float64(" not in (out / "summary.txt").read_text()
 
 
 def test_solve_general_runs(tmp_path):

@@ -1,0 +1,252 @@
+"""Array kernels against independent loop references and dense quadrature.
+
+The references here are the per-item loops the kernels replaced, written
+without the kernels they check, so a shared defect cannot hide.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swarmlq import Density, QuantileFunction, _pwlin, cdf_of, quantile_of
+from swarmlq.partition import build_partition, limit_constant_K
+from swarmlq.regimes import _demand_matrix, _problem_structure
+
+PROPERTY = settings(max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# references
+
+def _ref_eval(t, x, v):
+    """Curve value at points off the breakpoints; end values extend outside."""
+    k = np.searchsorted(x, t, side="right") - 1
+    out = np.where(t < x[0], v[0], v[-1])
+    mid = (k >= 0) & (k < len(x) - 1)
+    k = k[mid]
+    w = (t[mid] - x[k]) / (x[k + 1] - x[k])
+    out[mid] = v[k] + w * (v[k + 1] - v[k])
+    return out
+
+
+def _ref_support_items(d):
+    items = []
+    for i in range(len(d.values)):
+        a, b, v = d.edges[i], d.edges[i + 1], d.values[i]
+        inside = d.atom_x[(d.atom_x > a) & (d.atom_x < b)]
+        cuts = np.concatenate([[a], inside, [b]])
+        for j in range(len(cuts) - 1):
+            items.append((cuts[j], 1, "cell", cuts[j], cuts[j + 1], v))
+    for x, m in zip(d.atom_x, d.atom_m):
+        items.append((x, 0, "atom", x, x, m))
+    items.sort(key=lambda t: (t[0], t[1]))
+    return [(kind, a, b, w) for _, _, kind, a, b, w in items]
+
+
+def _ref_quantile(d):
+    zs, Qs, c = [], [], 0.0
+    for kind, a, b, w in _ref_support_items(d):
+        if kind == "cell" and w <= 0.0:
+            continue
+        if not zs or Qs[-1] != a:
+            zs.append(c)
+            Qs.append(a)
+        c += w * (b - a) if kind == "cell" else w
+        zs.append(c)
+        Qs.append(b)
+    return np.asarray(zs) / c, np.asarray(Qs)
+
+
+def _ref_cdf(d):
+    lo, hi = d.domain
+    xs, Fs, c = [lo], [0.0], 0.0
+    for kind, a, b, w in _ref_support_items(d):
+        if a > xs[-1]:
+            xs.append(a)
+            Fs.append(c)
+        c += w * (b - a) if kind == "cell" else w
+        xs.append(b)
+        Fs.append(c)
+    if hi > xs[-1]:
+        xs.append(hi)
+        Fs.append(c)
+    return np.asarray(xs), np.asarray(Fs) / c
+
+
+def _canonical(x, F):
+    """Drop repeated nodes and nodes inside a flat run; same curve, fewer nodes."""
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = (np.diff(x) != 0) | (np.diff(F) != 0)
+    x, F = x[keep], F[keep]
+    inner = np.zeros(len(x), dtype=bool)
+    inner[1:-1] = ((F[:-2] == F[1:-1]) & (F[1:-1] == F[2:])
+                   & (x[:-2] < x[1:-1]) & (x[1:-1] < x[2:]))
+    return x[~inner], F[~inner]
+
+
+def _ref_align(curves):
+    grid = np.unique(np.concatenate([x for x, _ in curves]))
+
+    def limits(x, v, g):
+        left = v[np.searchsorted(x, g, side="left")] if g in x else _ref_eval(np.array([g]), x, v)[0]
+        right = v[np.searchsorted(x, g, side="right") - 1] if g in x else left
+        return left, right
+
+    xs, cols = [], []
+    for k, g in enumerate(grid):
+        lr = [limits(x, v, g) for x, v in curves]
+        left = np.array([l for l, _ in lr])
+        right = np.array([r for _, r in lr])
+        if k == 0:
+            xs.append(g)
+            cols.append(right)
+        elif k == len(grid) - 1:
+            xs.append(g)
+            cols.append(left)
+        else:
+            xs.append(g)
+            cols.append(left)
+            if np.any(right != left):
+                xs.append(g)
+                cols.append(right)
+    return np.asarray(xs), np.column_stack(cols)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+@st.composite
+def curves(draw):
+    """Nondecreasing breakpoints with repeats (jumps) and arbitrary values."""
+    n = draw(st.integers(2, 12))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), min_size=n - 1,
+                          max_size=n - 1))
+    x0 = draw(st.floats(-5.0, 5.0))
+    x = x0 + np.concatenate([[0.0], np.cumsum(steps)])
+    if x[-1] == x[0]:
+        x[-1] += 1.0
+    v = np.asarray(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    return x, v
+
+
+@st.composite
+def densities(draw):
+    """Histogram with zero cells, plus atoms on edges, inside cells and outside."""
+    n = draw(st.integers(1, 6))
+    lo = draw(st.floats(-3.0, 3.0))
+    edges = lo + np.cumsum([0.0] + draw(st.lists(st.floats(0.1, 2.0), min_size=n,
+                                                 max_size=n)))
+    values = np.asarray(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+                                      min_size=n, max_size=n)))
+    where = draw(st.lists(st.sampled_from(["edge", "inside", "left", "right"]),
+                          max_size=5))
+    atoms = []
+    for w in where:
+        i = draw(st.integers(0, n))
+        if w == "edge":
+            x = edges[i]
+        elif w == "inside":
+            j = min(i, n - 1)
+            x = edges[j] + draw(st.floats(0.05, 0.95)) * (edges[j + 1] - edges[j])
+        elif w == "left":
+            x = edges[0] - draw(st.floats(0.1, 2.0))
+        else:
+            x = edges[-1] + draw(st.floats(0.1, 2.0))
+        atoms.append((x, draw(st.floats(0.05, 1.0))))
+    if not atoms and not np.any(values > 0):
+        values[0] = 1.0
+    domain = (edges[0] - 3.0, edges[-1] + 3.0)
+    return Density(domain, atoms=atoms or None, edges=edges, values=values,
+                   normalize=True)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+@PROPERTY
+@given(curves(), st.lists(st.tuples(st.floats(-8.0, 8.0), st.floats(0.0, 6.0)),
+                          min_size=1, max_size=6))
+def test_integral_matches_dense_quadrature(curve, spans):
+    x, v = curve
+    lo = np.array([a for a, _ in spans])
+    hi = lo + np.array([w for _, w in spans])
+    got = _pwlin.integral(x, v, lo, hi)
+    n = 4096
+    for i in range(len(lo)):
+        h = (hi[i] - lo[i]) / n
+        mid = lo[i] + h * (np.arange(n) + 0.5)
+        want = h * np.sum(_ref_eval(mid, x, v))
+        # the midpoint rule is exact on affine pieces; each breakpoint costs
+        # at most one sub-cell times the value range
+        tol = (len(x) + 2) * h * 2.0 * np.max(np.abs(v)) + 1e-12
+        assert abs(got[i] - want) <= tol
+
+
+@PROPERTY
+@given(curves())
+def test_integral_is_additive_and_handles_empty_intervals(curve):
+    x, v = curve
+    a, b = x[0] - 1.0, x[-1] + 1.0
+    cuts = np.linspace(a, b, 7)
+    parts = _pwlin.integral(x, v, cuts[:-1], cuts[1:])
+    whole = _pwlin.integral(x, v, [a], [b])[0]
+    assert np.sum(parts) == pytest.approx(whole, rel=1e-12, abs=1e-12)
+    assert np.all(_pwlin.integral(x, v, cuts, cuts) == 0.0)
+
+
+@PROPERTY
+@given(densities())
+def test_quantile_of_matches_loop_reference(d):
+    q = quantile_of(d)
+    want = QuantileFunction(*_ref_quantile(d), domain=d.domain)
+    assert np.array_equal(q.z, want.z)
+    assert np.array_equal(q.values, want.values)
+
+
+@PROPERTY
+@given(densities())
+def test_cdf_of_matches_loop_reference(d):
+    F = cdf_of(d)
+    x_want, F_want = _canonical(*_ref_cdf(d))
+    x_got, F_got = _canonical(F.x, F.F)
+    assert np.array_equal(x_got, x_want)
+    assert np.array_equal(F_got, F_want)
+
+
+@PROPERTY
+@given(curves(), curves())
+def test_align_matches_loop_reference(a, b):
+    x, V = _pwlin.align([a, b])
+    x_want, V_want = _ref_align([a, b])
+    assert np.array_equal(x, x_want)
+    assert np.array_equal(V, V_want)
+
+
+def test_demand_matrix_and_K_at_large_domain_offset():
+    # breakpoints on a binary grid, so the shift by 1e9 is exact in floats;
+    # light atoms make short cells, where a cancelling mean would show
+    offset = 1e9
+    edges = np.linspace(0.0, 1000.0, 17)
+
+    def problem(shift):
+        domain = (shift - 100.0, shift + 1100.0)
+        resource = Density(domain, atoms=[(shift + 150.0, 0.01), (shift + 625.0, 0.005)],
+                           edges=shift + edges[4:13], values=np.full(8, 0.985 / 500.0))
+        slices = []
+        for k in range(5):
+            vals = np.random.default_rng(100 + k).uniform(0.0, 1.0, 16)
+            d = Density(domain, atoms=[(shift + 300.0 + 50.0 * k, 0.2)],
+                        edges=shift + edges, values=vals, normalize=True)
+            slices.append(quantile_of(d))
+        q0 = quantile_of(resource)
+        problems = _problem_structure(q0, refine=16, knots=np.array([0.5]))
+        t = np.linspace(0.0, 1.0, len(slices))
+        return (_demand_matrix(problems, slices),
+                limit_constant_K(t, slices, build_partition(q0)))
+
+    d0, K0 = problem(0.0)
+    d1, K1 = problem(offset)
+    assert K0 > 0
+    assert K1 == pytest.approx(K0, rel=1e-8)
+    assert np.max(np.abs((d1 - offset) - d0)) <= 1e-15 * offset

@@ -231,6 +231,19 @@ def test_atom_merging_and_validation():
         Density((0, 1), edges=[0, 0.5, 1], values=[-1.0, 3.0])
 
 
+@pytest.mark.parametrize("field, kwargs", [
+    ("domain", dict(domain=(0.0, np.inf), atoms=[(2.0, 1.0)])),
+    ("atom position", dict(domain=(0.0, 10.0), atoms=[(np.nan, 1.0)])),
+    ("atom mass", dict(domain=(0.0, 10.0), atoms=[(2.0, np.inf)], normalize=True)),
+    ("edges", dict(domain=(0.0, 10.0), edges=[0.0, np.nan, 10.0], values=[0.1, 0.1])),
+    ("values", dict(domain=(0.0, 10.0), edges=[0.0, 5.0, 10.0], values=[np.inf, 0.1],
+                    normalize=True)),
+])
+def test_density_rejects_non_finite(field, kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        Density(**kwargs)
+
+
 def test_record_roundtrip():
     d = Density((0, 4), atoms=[(1, 0.25), (2.5, 0.25)], edges=[0, 1, 2],
                 values=[0.3, 0.2])

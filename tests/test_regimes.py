@@ -55,6 +55,29 @@ def test_static_geodesic_contraction():
             == pytest.approx(w0, abs=1e-9))
 
 
+def test_static_atoms_inside_continuum():
+    # an atom inside or on an edge of continuous mass: its flat adjoins the
+    # one-sided limit nodes of the continuum, which move at other velocities
+    edges = np.linspace(0.5, 9.5, 21)
+    atoms = [(x, 0.1) for x in (2.3, 4.1, 5.9, 7.7)] + [(edges[10], 0.05)]
+    res = Density((0, 10), atoms=atoms, edges=edges,
+                  values=np.full(20, 0.55 / 9.0))
+
+    def pdf(x):
+        return np.exp(-0.5 * ((x - 3.0) / 0.7) ** 2) + np.exp(-0.5 * ((x - 7.0) / 0.7) ** 2)
+
+    dem = Density.from_pdf(pdf, (0, 10), nx=200)
+    scen = Scenario(res, StaticDemand(dem), alpha=2.0, horizon=10.0, nt=1000)
+    sol = solve_static(scen, save_every=20)
+    bd = sol.breakdown
+    assert np.max(np.abs(bd.motion_x_t - bd.motion_z_t)) <= 1e-8 * np.max(bd.motion_z_t)
+    dbar = averaged_density(dem, build_partition(quantile_of(res)))
+    w0 = wasserstein2(res, dbar)
+    params = lq.LQParams(scen.alpha, scen.horizon, scen.nt)
+    for t, d in zip(sol.trajectory.t, sol.trajectory.densities):
+        assert abs(wasserstein2(d, dbar) - lq.transition_r(params, t, 0.0) * w0) < 1e-9
+
+
 def test_static_simulated_cost_matches_closed_form():
     scen = reference_static_scenario(nt=500)
     sol = solve_static(scen, save_every=5)
