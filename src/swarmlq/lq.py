@@ -52,26 +52,33 @@ def _log_sinh(x):
 
 
 def _cosh_ratio(num, den):
-    """cosh(num) / cosh(den), safe for large arguments."""
+    """cosh(num) / cosh(den), safe for large arguments.
+
+    Log space is chosen per element, so a batched call returns the same
+    bits as one call per element.
+    """
     num = np.asarray(num, float)
     den = np.asarray(den, float)
     big = (np.abs(num) > _LOG_SPACE_ARG) | (np.abs(den) > _LOG_SPACE_ARG)
     if not np.any(big):
         return np.cosh(num) / np.cosh(den)
-    with np.errstate(over="ignore"):  # t < tau may saturate to inf, by design
-        return np.exp(_log_cosh(num) - _log_cosh(den))
+    # t < tau may saturate to inf, by design; the overflowing direct ratio
+    # of a big element is discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(big, np.exp(_log_cosh(num) - _log_cosh(den)),
+                        np.cosh(num) / np.cosh(den))[()]
 
 
 def _sinh_over_cosh(num, den):
-    """sinh(num) / cosh(den) for num >= 0, safe for large arguments."""
+    """sinh(num) / cosh(den) for num >= 0, safe for large arguments; see ``_cosh_ratio``."""
     num = np.asarray(num, float)
     den = np.asarray(den, float)
     big = (np.abs(num) > _LOG_SPACE_ARG) | (np.abs(den) > _LOG_SPACE_ARG)
     if not np.any(big):
         return np.sinh(num) / np.cosh(den)
-    out = np.where(num > 0, np.exp(np.where(num > 0, _log_sinh(np.maximum(num, 1e-300)), 0.0)
-                                   - _log_cosh(den)), 0.0)
-    return out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logged = np.exp(_log_sinh(np.maximum(num, 1e-300)) - _log_cosh(den))
+        return np.where(big, np.where(num > 0, logged, 0.0), np.sinh(num) / np.cosh(den))[()]
 
 
 def riccati(params):
@@ -162,10 +169,6 @@ class ScalarLQSolution:
     d: np.ndarray
     cost: float | np.ndarray
 
-    def to_columns(self):
-        """Stack as (t, p, y, r, u, d) columns for CSV export."""
-        return np.column_stack([self.t, self.p, self.y, self.r, self.u, self.d])
-
 
 def solve_scalar(params, r0, d):
     """Solve one scalar tracking problem; see :func:`solve_family` for batches."""
@@ -229,11 +232,6 @@ def solve_family(params, r0, d):
                                + integrand[..., 2::2], axis=-1)
     return ScalarLQSolution(t, p_half[::2], y_half[..., ::2], r_half[..., ::2],
                             u_half[..., ::2], d_half[..., ::2], cost)
-
-
-def static_feedforward(params, d_const, t):
-    """Feedforward for a constant reference: ``y(t) = -p(t) * d``."""
-    return -riccati(params)(t) * d_const
 
 
 def static_cost(params, r0, d_const):

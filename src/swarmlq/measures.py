@@ -143,8 +143,8 @@ class Density:
         lo, hi = domain
         return cls(domain, edges=np.array([lo, hi]), values=np.array([1.0 / (hi - lo)]))
 
-    def cells_split_at_atoms(self):
-        """Cell edges refined by the atoms strictly inside the histogram.
+    def cells_split_at(self, points):
+        """Cell edges refined by the ``points`` strictly inside the histogram.
 
         Returns ``(cuts, values)``: the refined edges and the density value
         of the cell each piece lies in.
@@ -152,7 +152,8 @@ class Density:
         e = self.edges
         if not len(e):
             return np.empty(0), np.empty(0)
-        inner = self.atom_x[(self.atom_x > e[0]) & (self.atom_x < e[-1])]
+        points = np.asarray(points, float)
+        inner = points[(points > e[0]) & (points < e[-1])]
         cuts = np.union1d(e, inner)
         return cuts, self.values[np.searchsorted(e, cuts[:-1], side="right") - 1]
 
@@ -252,17 +253,12 @@ class QuantileFunction:
     @property
     def flat_intervals(self):
         """Array of rows ``(z_lo, z_hi, value)``, one per atom."""
-        out = []
-        k = 0
         z, v = self.z, self.values
-        while k < len(z) - 1:
-            j = k
-            while j + 1 < len(z) and v[j + 1] == v[k]:
-                j += 1
-            if j > k and z[j] > z[k]:
-                out.append((z[k], z[j], v[k]))
-            k = max(j, k + 1)
-        return np.asarray(out).reshape(-1, 3)
+        brk = np.flatnonzero(v[1:] != v[:-1]) + 1  # first node of each later run
+        lo = np.concatenate([[0], brk])
+        hi = np.concatenate([brk - 1, [len(z) - 1]])
+        keep = z[hi] > z[lo]
+        return np.column_stack([z[lo[keep]], z[hi[keep]], v[lo[keep]]])
 
     def mean(self):
         return float(_pwlin.integral(self.z, self.values, 0.0, 1.0)[0])
@@ -315,7 +311,7 @@ def _support_items(d):
     At equal start an atom comes before the cell piece, so the CDF jumps
     before it resumes ramping.
     """
-    cuts, vals = d.cells_split_at_atoms()
+    cuts, vals = d.cells_split_at(d.atom_x)
     pos = vals > 0
     a = np.concatenate([d.atom_x, cuts[:-1][pos]])
     b = np.concatenate([d.atom_x, cuts[1:][pos]])

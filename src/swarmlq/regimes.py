@@ -22,7 +22,7 @@ from .measures import (Density, QuantileFunction, density_from_quantile,
 from .partition import (LevelSetPartition, average_wrt_partition,
                         build_partition, cell_means, limit_constant_K)
 from .transport import (DensityPath, GridQuantileVelocity,
-                        QuantileReassembledVelocity, VelocityField)
+                        QuantileReassembledVelocity, VelocityField, _time_blend)
 
 MOTION_IDENTITY_TOL = 1e-8
 
@@ -467,15 +467,16 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         self.params = params
         self.q0_vals = np.asarray(q0_vals, float)
         self.qbar_vals = np.asarray(qbar_vals, float)
-        Q = np.vstack([self._row(t)[0] for t in t_nodes])
-        U = np.vstack([self._row(t)[1] for t in t_nodes])
+        Q, U = self._row(np.asarray(t_nodes, float)[:, None])
         super().__init__(t_nodes, z_nodes, Q, U)
 
     def _row(self, t):
         phi = lq.transition_r(self.params, t, 0.0)
-        row = phi * self.q0_vals + (1.0 - phi) * self.qbar_vals
+        row = phi * self.q0_vals  # in place below: t may be a whole time column
+        row += (1.0 - phi) * self.qbar_vals
         p = lq.riccati(self.params)(t)
-        u = -(p / self.params.alpha ** 2) * (row - self.qbar_vals)
+        u = row - self.qbar_vals
+        u *= -(p / self.params.alpha ** 2)
         return row, u
 
     def slice_arrays(self, t):
@@ -640,16 +641,17 @@ def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
     period = vel.t_nodes[-1]
     T_w = 3.0 * alpha
     tw = np.linspace(0.0, T_w, n_steps + 1)
-    y_of = lambda t: _pwlin_eval_periodic(vel.t_nodes, y_nodes_closed, t)
     r = problems.r0[problems.node_problem].astype(float).copy()
     dt = T_w / n_steps
     rows = [r.copy()]
-    ynode = y_nodes_closed[problems.node_problem]
+    y_rows = y_nodes_closed[problems.node_problem].T
+
+    def f(rr, t):
+        yv = _time_blend(vel.t_nodes, y_rows, t % period)
+        return -(alpha * rr + yv) / alpha ** 2
+
     for k in range(n_steps):
         t0 = tw[k]
-        def f(rr, t):
-            yv = _interp_rows(vel.t_nodes, ynode, t % period)
-            return -(alpha * rr + yv) / alpha ** 2
         k1 = f(r, t0)
         k2 = f(r + 0.5 * dt * k1, t0 + 0.5 * dt)
         k3 = f(r + 0.5 * dt * k2, t0 + 0.5 * dt)
@@ -663,21 +665,6 @@ def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
         dens.append(density_from_quantile(
             QuantileFunction(vel.z_nodes, row, domain=(lo, hi))))
     return DensityPath(tw, dens)
-
-
-def _interp_rows(t_nodes, rows_by_node, t):
-    t = float(t)
-    if t <= t_nodes[0]:
-        return rows_by_node[:, 0]
-    if t >= t_nodes[-1]:
-        return rows_by_node[:, -1]
-    j = int(np.searchsorted(t_nodes, t, side="right")) - 1
-    w = (t - t_nodes[j]) / (t_nodes[j + 1] - t_nodes[j])
-    return (1 - w) * rows_by_node[:, j] + w * rows_by_node[:, j + 1]
-
-
-def _pwlin_eval_periodic(t_nodes, rows, t):
-    return _interp_rows(t_nodes, rows, float(t) % t_nodes[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -729,33 +716,28 @@ def _motion_x(r, velocity, t, min_sub=4):
     """Spatial quadrature of ``V(x, t)^2`` against the density.
 
     Cells are split at the velocity's own spatial knots when it exposes
-    them, making the integrand piecewise quadratic; two-point Gauss nodes
-    (interior, so one-sided limits at knots never matter) integrate each
-    piece exactly.
+    them (otherwise into ``min_sub`` equal pieces), making the integrand
+    piecewise quadratic; two-point Gauss nodes (interior, so one-sided
+    limits at knots never matter) integrate each piece exactly.  The atoms
+    and both Gauss nodes of every piece go through one velocity call.
     """
-    total = 0.0
-    if len(r.atom_x):
-        total += float(np.sum(r.atom_m * np.asarray(velocity(r.atom_x, t)) ** 2))
-    if len(r.edges):
-        knots = None
-        if hasattr(velocity, "slice_arrays"):
-            knots = np.unique(velocity.slice_arrays(t)[0])
-        for i in range(len(r.values)):
-            rho = r.values[i]
-            if rho <= 0:
-                continue
-            a, b = r.edges[i], r.edges[i + 1]
-            if knots is not None:
-                inner = knots[(knots > a) & (knots < b)]
-                pts = np.concatenate([[a], inner, [b]])
-            else:
-                pts = np.linspace(a, b, min_sub + 1)
-            w = pts[1:] - pts[:-1]
-            mid = 0.5 * (pts[:-1] + pts[1:])
-            g1 = np.asarray(velocity(mid - _GAUSS_OFFSET * w, t)) ** 2
-            g2 = np.asarray(velocity(mid + _GAUSS_OFFSET * w, t)) ** 2
-            total += rho * float(np.sum(0.5 * w * (g1 + g2)))
-    return total
+    if not len(r.edges):  # atoms only: skip the piece bookkeeping
+        return float(np.sum(r.atom_m * np.asarray(velocity(r.atom_x, t)) ** 2))
+    if hasattr(velocity, "slice_arrays"):
+        cuts, rho = r.cells_split_at(velocity.slice_arrays(t)[0])
+        lo, hi = cuts[:-1], cuts[1:]
+    else:
+        pts = np.linspace(r.edges[:-1], r.edges[1:], min_sub + 1, axis=1)
+        lo, hi = pts[:, :-1].ravel(), pts[:, 1:].ravel()
+        rho = np.repeat(r.values, min_sub)
+    keep = rho > 0
+    lo, hi, rho = lo[keep], hi[keep], rho[keep]
+    w = hi - lo
+    mid = 0.5 * (lo + hi)
+    x = np.concatenate([r.atom_x, mid - _GAUSS_OFFSET * w, mid + _GAUSS_OFFSET * w])
+    g = np.asarray(velocity(x, t)) ** 2
+    ga, g1, g2 = np.split(g, [len(r.atom_x), len(r.atom_x) + len(w)])
+    return float(np.sum(r.atom_m * ga)) + float(np.sum(rho * (0.5 * w * (g1 + g2))))
 
 
 def _motion_z(qr, velocity, t):

@@ -165,7 +165,7 @@ def advect_density(r0, v, T, nt, save_every=1):
     here and raises.
     """
     n_atoms = len(r0.atom_x)
-    edges0, values0 = r0.cells_split_at_atoms()
+    edges0, values0 = r0.cells_split_at(r0.atom_x)
     masses = values0 * np.diff(edges0)
     pts = np.concatenate([r0.atom_x, edges0])
     span = max(r0.domain[1] - r0.domain[0], 1.0)

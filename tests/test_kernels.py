@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlq import Density, QuantileFunction, _pwlin, cdf_of, quantile_of
+from swarmlq import Density, QuantileFunction, _pwlin, cdf_of, lq, quantile_of
 from swarmlq.partition import build_partition, limit_constant_K
-from swarmlq.regimes import _demand_matrix, _problem_structure
+from swarmlq.regimes import (StaticOptimalVelocity, _demand_matrix, _motion_x,
+                             _problem_structure)
+from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -113,6 +115,48 @@ def _ref_align(curves):
     return np.asarray(xs), np.column_stack(cols)
 
 
+def _ref_flat_intervals(q):
+    out = []
+    k = 0
+    z, v = q.z, q.values
+    while k < len(z) - 1:
+        j = k
+        while j + 1 < len(z) and v[j + 1] == v[k]:
+            j += 1
+        if j > k and z[j] > z[k]:
+            out.append((z[k], z[j], v[k]))
+        k = max(j, k + 1)
+    return np.asarray(out).reshape(-1, 3)
+
+
+_GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
+
+
+def _ref_motion_x(r, velocity, t, min_sub=4):
+    """Per-cell Gauss quadrature of ``V^2`` against the density, two calls per cell."""
+    total = 0.0
+    if len(r.atom_x):
+        total += float(np.sum(r.atom_m * np.asarray(velocity(r.atom_x, t)) ** 2))
+    knots = None
+    if hasattr(velocity, "slice_arrays"):
+        knots = np.unique(velocity.slice_arrays(t)[0])
+    for i in range(len(r.values)):
+        rho = r.values[i]
+        if rho <= 0:
+            continue
+        a, b = r.edges[i], r.edges[i + 1]
+        if knots is not None:
+            pts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+        else:
+            pts = np.linspace(a, b, min_sub + 1)
+        w = pts[1:] - pts[:-1]
+        mid = 0.5 * (pts[:-1] + pts[1:])
+        g1 = np.asarray(velocity(mid - _GAUSS_OFFSET * w, t)) ** 2
+        g2 = np.asarray(velocity(mid + _GAUSS_OFFSET * w, t)) ** 2
+        total += rho * float(np.sum(0.5 * w * (g1 + g2)))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -159,6 +203,36 @@ def densities(draw):
     domain = (edges[0] - 3.0, edges[-1] + 3.0)
     return Density(domain, atoms=atoms or None, edges=edges, values=values,
                    normalize=True)
+
+
+@st.composite
+def quantiles(draw):
+    """Quantile curves with flats (atoms), jumps (gaps) and repeated nodes."""
+    n = draw(st.integers(2, 12))
+    dz = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]), min_size=n - 1,
+                       max_size=n - 1))
+    dv = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), min_size=n - 1,
+                       max_size=n - 1))
+    z = np.concatenate([[0.0], np.cumsum(dz)])
+    if z[-1] == 0.0:
+        z[-1] = 1.0
+    v = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(dv)])
+    return QuantileFunction(z / z[-1], v)
+
+
+@st.composite
+def knotted_velocities(draw, d):
+    """Reassembled field whose knots include some of ``d``'s cell edges exactly."""
+    lo, hi = d.domain
+    free = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    on_edges = [d.edges[i] for i in draw(st.lists(st.integers(0, len(d.edges) - 1),
+                                                  max_size=4))]
+    q_row = np.sort(np.asarray(free + on_edges))
+    z = np.linspace(0.0, 1.0, len(q_row))
+    u_row = np.asarray(draw(st.lists(st.floats(-3.0, 3.0), min_size=len(q_row),
+                                     max_size=len(q_row))))
+    return QuantileReassembledVelocity([0.0, 1.0], z, np.vstack([q_row, q_row]),
+                                       np.vstack([u_row, u_row]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +324,69 @@ def test_demand_matrix_and_K_at_large_domain_offset():
     assert K0 > 0
     assert K1 == pytest.approx(K0, rel=1e-8)
     assert np.max(np.abs((d1 - offset) - d0)) <= 1e-15 * offset
+
+
+@PROPERTY
+@given(quantiles())
+def test_flat_intervals_matches_loop_reference(q):
+    assert np.array_equal(q.flat_intervals, _ref_flat_intervals(q))
+
+
+@PROPERTY
+@given(densities())
+def test_flat_intervals_of_density_quantiles_match_loop_reference(d):
+    q = quantile_of(d)
+    assert np.array_equal(q.flat_intervals, _ref_flat_intervals(q))
+
+
+def _atoms_only(d, drop_cells):
+    if not (drop_cells and len(d.atom_x)):
+        return d
+    return Density(d.domain, atoms=np.column_stack([d.atom_x, d.atom_m]), normalize=True)
+
+
+@PROPERTY
+@given(st.data(), densities(), st.booleans())
+def test_motion_x_matches_per_cell_loop_with_knots(data, d, drop_cells):
+    vel = data.draw(knotted_velocities(d))
+    d = _atoms_only(d, drop_cells)
+    want = _ref_motion_x(d, vel, 0.0)
+    assert abs(_motion_x(d, vel, 0.0) - want) <= 1e-13 * want
+
+
+@PROPERTY
+@given(densities(), st.booleans(), st.floats(-2.0, 2.0), st.floats(0.1, 3.0),
+       st.integers(1, 6))
+def test_motion_x_matches_per_cell_loop_without_knots(d, drop_cells, c, k, min_sub):
+    d = _atoms_only(d, drop_cells)
+    vel = CallableVelocity(lambda x, t: c + np.sin(k * x) + 0.1 * x * t)
+    want = _ref_motion_x(d, vel, 0.7, min_sub=min_sub)
+    assert abs(_motion_x(d, vel, 0.7, min_sub=min_sub) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("alpha, T", [(2.0, 10.0), (0.5, 3.0), (0.01, 10.0)])
+def test_static_velocity_rows_equal_slice_arrays(alpha, T):
+    # the last case has T/alpha = 1000, where the cosh ratios go to log space
+    rng = np.random.default_rng(7)
+    params = lq.LQParams(alpha, T, 200)
+    z = np.linspace(0.0, 1.0, 30)
+    vel = StaticOptimalVelocity(params, z, np.sort(rng.uniform(0.0, 10.0, 30)),
+                                np.sort(rng.uniform(0.0, 10.0, 30)), params.t_grid)
+    for k, t in enumerate(params.t_grid):
+        q_row, u_row = vel.slice_arrays(t)
+        assert np.array_equal(vel.Q[k], q_row)
+        assert np.array_equal(vel.U[k], u_row)
+
+
+def test_cosh_ratios_batched_equal_scalar_calls():
+    # arguments from 0 to 1000 in one array, so only some elements are large
+    params = lq.LQParams(1.0, 1000.0, 2)
+    t = np.linspace(0.0, 1000.0, 4001)
+    tau = np.maximum(t - 3.0, 0.0)
+    batched = lq.transition_r(params, t, tau)
+    scalar = np.array([lq.transition_r(params, a, b) for a, b in zip(t, tau)])
+    assert np.array_equal(batched, scalar)
+    num, den = 1000.0 - t, 1000.0 - tau
+    batched = lq._sinh_over_cosh(num, den)
+    scalar = np.array([lq._sinh_over_cosh(a, b) for a, b in zip(num, den)])
+    assert np.array_equal(batched, scalar)
