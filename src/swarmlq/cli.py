@@ -116,9 +116,7 @@ def _scenario_from(cfg):
         alpha=float(cfg.get("alpha", 1.0)),
         horizon=None if horizon is None else float(horizon),
         nt=int(cfg.get("grid.nt", 1000)),
-        nx=int(cfg.get("grid.nx", 400)),
         n_harmonics=int(cfg.get("grid.harmonics", 64)),
-        seed=int(cfg.get("seed", 0)),
     )
 
 
@@ -321,7 +319,8 @@ def build_parser():
     ap.add_argument("--alpha", type=float, help="override tradeoff weight")
     ap.add_argument("--horizon", help="override horizon (number or 'periodic')")
     ap.add_argument("--nt", type=int, help="override time-grid size")
-    ap.add_argument("--nx", type=int, help="override space-grid size")
+    ap.add_argument("--nx", type=int,
+                    help="override the periodic-mixture demand grid size (demand.nx)")
     ap.add_argument("--harmonics", type=int, help="override harmonic count")
     ap.add_argument("--seed", type=int, help="override RNG seed")
     ap.add_argument("--out", type=Path, help="output directory")
@@ -340,7 +339,7 @@ def main(argv=None):
                 raise ConfigError(f"config not found: {args.config}")
             cfg = parse_config(args.config.read_text())
         for key, val in (("alpha", args.alpha), ("horizon", args.horizon),
-                         ("grid.nt", args.nt), ("grid.nx", args.nx),
+                         ("grid.nt", args.nt), ("demand.nx", args.nx),
                          ("grid.harmonics", args.harmonics), ("seed", args.seed)):
             if val is not None:
                 try:

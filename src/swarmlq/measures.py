@@ -351,16 +351,18 @@ def density_from_quantile(q, domain=None):
     scale = max(abs(v[0]), abs(v[-1]), 1.0)
     if np.any(dv < -1e-9 * scale):
         raise ValueError("quantile is non-monotone beyond tolerance")
-    atoms = [(row[2], row[1] - row[0]) for row in q.flat_intervals]
-    cell_lo, cell_hi, cell_v = [], [], []
-    for k in range(len(z) - 1):
-        dz = z[k + 1] - z[k]
-        dx = v[k + 1] - v[k]
-        if dz > 0 and dx > 0:
-            cell_lo.append(v[k])
-            cell_hi.append(v[k + 1])
-            cell_v.append(dz / dx)
-    edges, values = _cells_to_grid(cell_lo, cell_hi, cell_v)
+    flats = q.flat_intervals
+    dz = np.diff(z)
+    cell = (dz > 0) & (dv > 0)
+    a, b = v[:-1][cell], v[1:][cell]
+    # a cell adds its left edge where it opens the grid or a zero-mass gap
+    # precedes it; each gap becomes a zero-value cell
+    opens = np.ones(len(a), dtype=bool)
+    opens[1:] = a[1:] > b[:-1]
+    gap = opens.copy()
+    gap[:1] = False
+    edges = _interleave(a, b, opens)
+    values = _interleave(np.zeros(len(a)), dz[cell] / dv[cell], gap)
     if domain is None:
         lo, hi = q.domain
         if not hi > lo:  # quantile constant: pad so the atom has a real interval
@@ -369,26 +371,10 @@ def density_from_quantile(q, domain=None):
         domain = (lo, hi)
     return Density(
         domain,
-        atoms=atoms or None,
+        atoms=np.column_stack([flats[:, 2], flats[:, 1] - flats[:, 0]]),
         edges=edges,
         values=values,
     )
-
-
-def _cells_to_grid(cell_lo, cell_hi, cell_v):
-    """Pack ordered, non-overlapping cells into one grid, zero-filling gaps."""
-    if not cell_lo:
-        return np.empty(0), np.empty(0)
-    edges = [cell_lo[0]]
-    values = []
-    for a, b, v in zip(cell_lo, cell_hi, cell_v):
-        if a > edges[-1]:
-            edges.append(a)
-            values.append(0.0)
-        if b > edges[-1]:
-            edges.append(b)
-            values.append(v)
-    return np.asarray(edges), np.asarray(values)
 
 
 def pushforward(d, f, nz=2048):

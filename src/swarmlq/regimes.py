@@ -11,6 +11,7 @@ steady state is a zero-phase second-order low-pass filter with cutoff
 ``1/alpha``.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .transport import (DensityPath, GridQuantileVelocity,
                         QuantileReassembledVelocity, VelocityField, _time_blend)
 
 MOTION_IDENTITY_TOL = 1e-8
+
+log = logging.getLogger("swarmlq")
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +83,8 @@ class SampledDemand(DemandSignal):
 
     Between samples the quantile is the convex combination of the two
     bracketing quantiles (displacement interpolation), which keeps every
-    intermediate slice a valid density.
+    intermediate slice a valid density.  Each bracket's pair of quantiles
+    is aligned on shared breakpoints once, on first use.
     """
 
     def __init__(self, times, densities):
@@ -92,6 +96,7 @@ class SampledDemand(DemandSignal):
             raise ConfigError("one density per sample time required")
         self.densities = list(densities)
         self._slices = [quantile_of(d) for d in densities]
+        self._brackets = {}  # bracket index -> aligned (z, V) of its two samples
 
     def density_at(self, t):
         return density_from_quantile(self.quantile_at(t))
@@ -105,8 +110,10 @@ class SampledDemand(DemandSignal):
             return self._slices[j]
         if w == 1.0:
             return self._slices[j + 1]
-        qa, qb = self._slices[j], self._slices[j + 1]
-        z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+        if j not in self._brackets:
+            qa, qb = self._slices[j], self._slices[j + 1]
+            self._brackets[j] = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+        z, V = self._brackets[j]
         return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
 
 
@@ -149,10 +156,7 @@ class Scenario:
     alpha: float
     horizon: float | None = None
     nt: int = 1000
-    nx: int = 400
     n_harmonics: int = 64
-    seed: int = 0
-    output_dir: str | None = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -220,12 +224,20 @@ class _Problems:
 
 
 def _demand_jump_knots(slices, cap=256):
-    """Percentiles where any demand slice's quantile jumps (zero-mass gaps)."""
+    """Percentiles where any demand slice's quantile jumps (zero-mass gaps).
+
+    Scanning stops once more than ``cap`` knots are found; the slices left
+    unscanned are reported through the ``swarmlq`` logger.
+    """
     knots = set()
-    for qd in slices:
+    for i, qd in enumerate(slices):
         dup = qd.z[1:][qd.z[1:] == qd.z[:-1]]
         knots.update(float(z) for z in dup if 0.0 < z < 1.0)
         if len(knots) > cap:
+            skipped = len(slices) - i - 1
+            if skipped:
+                log.warning("demand jump knots passed the cap of %d; %d of %d "
+                            "slices were not scanned", cap, skipped, len(slices))
             break
     return np.asarray(sorted(knots))
 
@@ -394,22 +406,19 @@ def _assemble(problems, t_grid, r, u):
     return QuantileReassembledVelocity(t_grid, problems.z_nodes, Q, U)
 
 
+def _density_of_row(z_nodes, row, domain):
+    """Density of one quantile row, on ``domain`` widened to cover the row."""
+    domain = (min(domain[0], row[0]), max(domain[1], row[-1]))
+    return density_from_quantile(QuantileFunction(z_nodes, row, domain=domain))
+
+
 def _densities_from_rows(vel, domain, save_every=1):
-    ts, dens = [], []
-    n = len(vel.t_nodes)
-    for j in range(0, n, save_every):
-        row = vel.Q[j]
-        lo = min(domain[0], row[0])
-        hi = max(domain[1], row[-1])
-        dens.append(density_from_quantile(
-            QuantileFunction(vel.z_nodes, row, domain=(lo, hi))))
-        ts.append(vel.t_nodes[j])
-    if ts[-1] != vel.t_nodes[-1]:
-        row = vel.Q[-1]
-        dens.append(density_from_quantile(QuantileFunction(
-            vel.z_nodes, row, domain=(min(domain[0], row[0]), max(domain[1], row[-1])))))
-        ts.append(vel.t_nodes[-1])
-    return DensityPath(np.asarray(ts), dens)
+    """Densities of every ``save_every``-th row of ``vel.Q``, and of the last."""
+    keep = list(range(0, len(vel.t_nodes), save_every))
+    if keep[-1] != len(vel.t_nodes) - 1:
+        keep.append(len(vel.t_nodes) - 1)
+    return DensityPath(vel.t_nodes[keep],
+                       [_density_of_row(vel.z_nodes, vel.Q[j], domain) for j in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +489,11 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         return row, u
 
     def slice_arrays(self, t):
-        return self._row(float(t))
+        t = float(t)
+        k = int(np.searchsorted(self.t_nodes, t))
+        if k < len(self.t_nodes) and self.t_nodes[k] == t:
+            return self.Q[k], self.U[k]  # equal to ``_row(t)``, stored
+        return self._row(t)
 
 
 def solve_static(scenario, save_every=1):
@@ -658,13 +671,8 @@ def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
         k4 = f(r + dt * k3, t0 + dt)
         r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rows.append(np.maximum.accumulate(r.copy()))
-    dens = []
-    for row in rows:
-        lo = min(scenario.resource.domain[0], row[0])
-        hi = max(scenario.resource.domain[1], row[-1])
-        dens.append(density_from_quantile(
-            QuantileFunction(vel.z_nodes, row, domain=(lo, hi))))
-    return DensityPath(tw, dens)
+    domain = scenario.resource.domain
+    return DensityPath(tw, [_density_of_row(vel.z_nodes, row, domain) for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -744,15 +752,18 @@ def _motion_z(qr, velocity, t):
     """Percentile quadrature of ``V(Q(z, t), t)^2`` over [0, 1].
 
     Fields that carry their percentile samples are integrated from the
-    ``U`` row directly (exact for piecewise-affine ``U``, including the
-    one-sided limits at jumps); generic fields are composed with the slice
-    quantile and integrated with interior Gauss nodes.
+    ``U`` row directly: ``U`` is affine between consecutive nodes, so each
+    segment of positive length contributes ``dz (u0^2 + u0 u1 + u1^2) / 3``
+    exactly, and a duplicated node (a jump) only switches to the right
+    limit; the nodes span [0, 1].  Generic fields are composed with the
+    slice quantile and integrated with interior Gauss nodes.
     """
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
         _, u_row = velocity.slice_arrays(t)
-        zero = np.array([0.0, 1.0])
-        return _pwlin.integral_sq_diff(velocity.z_nodes, u_row,
-                                       zero, np.zeros(2))
+        dz = np.diff(velocity.z_nodes)
+        seg = dz > 0
+        u0, u1 = u_row[:-1][seg], u_row[1:][seg]
+        return float(np.sum(dz[seg] * (u0 * u0 + u0 * u1 + u1 * u1) / 3.0))
     z = qr.z
     x_nodes = qr.values
     dz = np.diff(z)

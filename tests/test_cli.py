@@ -90,6 +90,27 @@ def test_solve_periodic_artifacts(tmp_path):
     assert "np.float64(" not in (out / "summary.txt").read_text()
 
 
+def test_nx_flag_sets_the_mixture_grid(tmp_path):
+    base = PERIODIC_CFG.replace("demand.nx = 150\n", "")
+    out = tmp_path / "run"
+
+    def artifacts(cfg_text, *flags):
+        cfgfile = tmp_path / "p.cfg"
+        cfgfile.write_text(cfg_text)
+        assert main(["solve-periodic", "--config", str(cfgfile), "--out", str(out),
+                     *flags]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+        return files
+
+    flag = artifacts(base, "--nx", "200")
+    config = artifacts(base + "demand.nx = 200\n")
+    default = artifacts(base)
+    assert flag == config
+    assert flag["timeseries.csv"] != default["timeseries.csv"]
+
+
 def test_solve_general_runs(tmp_path):
     cfgfile = tmp_path / "s.cfg"
     cfgfile.write_text(STATIC_CFG)

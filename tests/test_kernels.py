@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlq import Density, QuantileFunction, _pwlin, cdf_of, lq, quantile_of
+from swarmlq import (Density, QuantileFunction, _pwlin, cdf_of, density_from_quantile,
+                     lq, quantile_of)
 from swarmlq.partition import build_partition, limit_constant_K
-from swarmlq.regimes import (StaticOptimalVelocity, _demand_matrix, _motion_x,
-                             _problem_structure)
+from swarmlq.regimes import (SampledDemand, StaticOptimalVelocity, _demand_jump_knots,
+                             _demand_matrix, _motion_x, _motion_z, _problem_structure)
 from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -155,6 +156,44 @@ def _ref_motion_x(r, velocity, t, min_sub=4):
         g2 = np.asarray(velocity(mid + _GAUSS_OFFSET * w, t)) ** 2
         total += rho * float(np.sum(0.5 * w * (g1 + g2)))
     return total
+
+
+def _ref_density_from_quantile(q):
+    """Atoms from the flats, then one cell per increasing stretch, gaps zero-filled."""
+    atoms = [(row[2], row[1] - row[0]) for row in _ref_flat_intervals(q)]
+    z, v = q.z, q.values
+    edges, values = [], []
+    for k in range(len(z) - 1):
+        dz, dx = z[k + 1] - z[k], v[k + 1] - v[k]
+        if not (dz > 0 and dx > 0):
+            continue
+        if not edges:
+            edges.append(v[k])
+        elif v[k] > edges[-1]:
+            edges.append(v[k])
+            values.append(0.0)
+        edges.append(v[k + 1])
+        values.append(dz / dx)
+    lo, hi = q.domain
+    if not hi > lo:
+        pad = max(1.0, abs(lo)) * 0.5
+        lo, hi = lo - pad, hi + pad
+    return Density((lo, hi), atoms=atoms or None, edges=np.asarray(edges),
+                   values=np.asarray(values))
+
+
+def _ref_sampled_quantile(times, densities, t):
+    """Displacement interpolation between the bracketing samples, aligned afresh."""
+    t = min(max(t, times[0]), times[-1])
+    j = min(max(int(np.searchsorted(times, t, side="right")) - 1, 0), len(times) - 2)
+    w = (t - times[j]) / (times[j + 1] - times[j])
+    qa, qb = quantile_of(densities[j]), quantile_of(densities[j + 1])
+    if w == 0.0:
+        return qa
+    if w == 1.0:
+        return qb
+    z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+    return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +429,75 @@ def test_cosh_ratios_batched_equal_scalar_calls():
     batched = lq._sinh_over_cosh(num, den)
     scalar = np.array([lq._sinh_over_cosh(a, b) for a, b in zip(num, den)])
     assert np.array_equal(batched, scalar)
+
+
+@PROPERTY
+@given(quantiles())
+def test_density_from_quantile_matches_loop_reference(q):
+    got, want = density_from_quantile(q), _ref_density_from_quantile(q)
+    assert got.domain == want.domain
+    for field in ("atom_x", "atom_m", "edges", "values"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@PROPERTY
+@given(st.lists(densities(), min_size=2, max_size=4),
+       st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=12))
+def test_sampled_demand_reuses_aligned_brackets(dens, queries):
+    times = np.arange(len(dens), dtype=float)
+    demand = SampledDemand(times, dens)
+    # sample times and times outside the range, and each time twice
+    ts = list(times) + [-0.5, times[-1] + 0.5] + queries
+    for t in ts + ts[::-1]:
+        got = demand.quantile_at(t)
+        want = _ref_sampled_quantile(times, dens, t)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.values, want.values)
+    assert len(demand._brackets) <= len(times) - 1
+
+
+@PROPERTY
+@given(quantiles(), st.data())
+def test_motion_z_of_percentile_rows_equals_two_curve_integral(q, data):
+    # quantile breakpoints span [0, 1] with duplicated nodes at jumps and
+    # runs of equal nodes; the velocity row takes arbitrary values on them
+    z = q.z
+    u = np.asarray(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(z),
+                                      max_size=len(z))))
+    rows = np.vstack([q.values, q.values])
+    vel = QuantileReassembledVelocity([0.0, 1.0], z, rows, np.vstack([u, u]))
+    want = _pwlin.integral_sq_diff(z, u, np.array([0.0, 1.0]), np.zeros(2))
+    assert _motion_z(q, vel, 0.5) == want
+
+
+@PROPERTY
+@given(st.sampled_from([(2.0, 10.0), (0.5, 3.0), (0.01, 10.0)]),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.integers(0, 40))
+def test_static_velocity_slice_arrays_equal_exact_rows(case, fractions, k):
+    alpha, T = case
+    rng = np.random.default_rng(11)
+    params = lq.LQParams(alpha, T, 40)
+    z = np.linspace(0.0, 1.0, 12)
+    vel = StaticOptimalVelocity(params, z, np.sort(rng.uniform(0.0, 10.0, 12)),
+                                np.sort(rng.uniform(0.0, 10.0, 12)), params.t_grid)
+    for t in [params.t_grid[k]] + [T * f for f in fractions]:
+        q_row, u_row = vel.slice_arrays(t)
+        q_want, u_want = vel._row(float(t))
+        assert np.array_equal(q_row, q_want)
+        assert np.array_equal(u_row, u_want)
+
+
+def test_demand_jump_knots_cap_is_logged(caplog):
+    # one distinct interior jump per slice: the cap is passed on slice 257
+    zs = (np.arange(300) + 1.0) / 302.0
+    slices = [QuantileFunction([0.0, z, z, 1.0], [0.0, 1.0, 2.0, 3.0]) for z in zs]
+    with caplog.at_level("WARNING", logger="swarmlq"):
+        knots = _demand_jump_knots(slices, cap=256)
+    assert np.array_equal(knots, zs[:257])
+    [record] = caplog.records
+    assert "cap of 256" in record.getMessage()
+    assert "43 of 300 slices" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="swarmlq"):
+        assert np.array_equal(_demand_jump_knots(slices[:200]), zs[:200])
+    assert not caplog.records
