@@ -25,7 +25,7 @@ from .regimes import (CostBreakdown, DemandSignal, OptimalControlSolution,
                       evaluate_cost, gaussian_mixture_demand, solve_general,
                       solve_periodic, solve_static)
 from .transport import (CallableQuantileVelocity, CallableVelocity, DensityPath,
-                        FlowMap, GridQuantileVelocity, GridVelocity,
+                        FlowMap, GridQuantileVelocity, GridVelocity, QuantilePath,
                         QuantileVelocity, VelocityField, advect_density,
                         evolve_quantile, flow_map, from_quantile_coords,
                         to_quantile_coords)
@@ -36,7 +36,7 @@ __all__ = [
     "pushforward", "wasserstein2", "l2_quantile_distance",
     "VelocityField", "CallableVelocity", "GridVelocity",
     "QuantileVelocity", "CallableQuantileVelocity", "GridQuantileVelocity",
-    "FlowMap", "DensityPath",
+    "FlowMap", "DensityPath", "QuantilePath",
     "advect_density", "flow_map", "evolve_quantile",
     "to_quantile_coords", "from_quantile_coords",
     "LevelSetPartition", "build_partition", "average_wrt_partition",

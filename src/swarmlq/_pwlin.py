@@ -12,47 +12,52 @@ import numpy as np
 
 
 def eval_pw(xq, x, v, side):
-    """Evaluate a breakpoint curve at ``xq``.
+    """Evaluate a breakpoint curve, or a stack of curves, at ``xq``.
 
     ``side='right'`` returns the limit from the right at jump points
     (CDF convention), ``side='left'`` the limit from the left (quantile
     convention).  Outside ``[x[0], x[-1]]`` the end values are returned.
+    ``v`` may be a ``(k, n)`` stack of curves on the shared breakpoints
+    ``x``; the result then has one row per curve.
+
+    Each query is located once, as a node pair ``(a, b)`` and a weight
+    ``w``, and every curve is gathered at those nodes: ``v[a] + w * (v[b] -
+    v[a])``.  A query that takes a node value outright (outside the ends, or
+    an exact hit from the left) has ``b == a`` and ``w == 0``.
     """
     xq = np.asarray(xq, dtype=float)
     scalar = xq.ndim == 0
-    xq = np.atleast_1d(xq)
-    out = np.empty_like(xq)
+    if scalar:
+        xq = xq[None]
+    last = len(x) - 1
+    # np.clip and the np.searchsorted wrapper cost more than the arithmetic
+    # on the short arrays most calls take
     if side == "right":
-        idx = np.searchsorted(x, xq, side="right") - 1
-        below = idx < 0
-        idx = np.clip(idx, 0, len(x) - 1)
-        top = idx >= len(x) - 1
-        mid = ~(below | top)
-        out[below] = v[0]
-        out[top] = v[-1]
-        i = idx[mid]
-        w = (xq[mid] - x[i]) / (x[i + 1] - x[i])
-        out[mid] = v[i] + w * (v[i + 1] - v[i])
+        i = x.searchsorted(xq, side="right") - 1
+        a = np.maximum(i, 0)
+        b = np.minimum(i + 1, last)
     elif side == "left":
-        idx = np.searchsorted(x, xq, side="left")
-        above = idx >= len(x)
-        idx = np.clip(idx, 0, len(x) - 1)
-        exact = ~above & (x[idx] == xq)
-        bottom = ~above & ~exact & (idx == 0)
-        mid = ~(above | exact | bottom)
-        out[above] = v[-1]
-        out[exact] = v[idx[exact]]
-        out[bottom] = v[0]
-        i = idx[mid]
-        w = (xq[mid] - x[i - 1]) / (x[i] - x[i - 1])
-        out[mid] = v[i - 1] + w * (v[i] - v[i - 1])
+        i = x.searchsorted(xq, side="left")
+        b = np.minimum(i, last)
+        a = np.maximum(i - (x[b] != xq), 0)  # an exact hit keeps a == b == i
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return out[0] if scalar else out
+    xa = x[a]
+    mid = b > a
+    w = np.where(mid, xq - xa, 0.0) / np.where(mid, x[b] - xa, 1.0)
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        va, vb = v[a], v[b]
+    else:  # ``take`` keeps the rows C-contiguous, so row sums match 1-D sums
+        va, vb = np.take(v, a, axis=-1), np.take(v, b, axis=-1)
+    out = va + w * (vb - va)
+    if scalar:
+        return out[0] if out.ndim == 1 else out[:, 0]
+    return out
 
 
 def segment_endpoints(x, v, grid):
-    """Right/left limits of a curve on the segments of a refining grid.
+    """Right/left limits of a curve (or a stack of curves) on a refining grid.
 
     ``grid`` must be strictly increasing and cover ``[x[0], x[-1]]``.
     Returns ``(v_right_of_left_node, v_left_of_right_node)``, i.e. the two
@@ -73,7 +78,9 @@ def integral_sq_diff(xa, va, xb, vb, lo=None, hi=None):
 
     Both curves are affine between merged breakpoints, so the integrand is
     quadratic per segment and the closed form
-    ``dz * (e0**2 + e0*e1 + e1**2) / 3`` is exact.
+    ``dz * (e0**2 + e0*e1 + e1**2) / 3`` is exact.  A ``(k, n)`` stack
+    ``va`` of curves on the breakpoints ``xa`` gives ``k`` integrals, each
+    equal bit for bit to the integral of its row alone.
     """
     grid = merged_grid(xa, xb)
     if lo is not None or hi is not None:
@@ -85,7 +92,8 @@ def integral_sq_diff(xa, va, xb, vb, lo=None, hi=None):
     b0, b1 = segment_endpoints(xb, vb, grid)
     e0 = a0 - b0
     e1 = a1 - b1
-    return float(np.sum(dz * (e0 * e0 + e0 * e1 + e1 * e1) / 3.0))
+    out = np.sum(dz * (e0 * e0 + e0 * e1 + e1 * e1) / 3.0, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def integral(x, v, lo, hi):

@@ -96,10 +96,15 @@ def average_wrt_partition(qd, p):
     gi = np.searchsorted(hi, qd.z, side="left")
     inner = (qd.z > gap_lo[gi]) & (qd.z < gap_hi[gi])
     k = len(means)
+    # qd(0+) sits on the last node at z == 0 and qd(1-) on the first at z == 1
+    ends = qd.values[[np.searchsorted(qd.z, 0.0, side="right") - 1,
+                      np.searchsorted(qd.z, 1.0, side="left")]]
+    if len(g):
+        v_lo, v_hi = qd(gap_lo[g], side="right"), qd(gap_hi[g], side="left")
+    else:
+        v_lo = v_hi = np.empty(0)
     z = np.concatenate([[0.0], gap_lo[g], qd.z[inner], gap_hi[g], lo, hi, [1.0]])
-    v = np.concatenate([qd([0.0], side="right"), qd(gap_lo[g], side="right"),
-                        qd.values[inner], qd(gap_hi[g], side="left"),
-                        means, means, qd([1.0], side="left")])
+    v = np.concatenate([ends[:1], v_lo, qd.values[inner], v_hi, means, means, ends[1:]])
     slot = np.concatenate([[0], 2 * g + 1, 2 * gi[inner] + 1, 2 * g + 1,
                            2 * np.arange(k) + 2, 2 * np.arange(k) + 2, [2 * k + 2]])
     order = np.lexsort((z, slot))

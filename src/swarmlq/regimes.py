@@ -22,7 +22,7 @@ from .measures import (Density, QuantileFunction, density_from_quantile,
                        quantile_of)
 from .partition import (LevelSetPartition, average_wrt_partition,
                         build_partition, cell_means, limit_constant_K)
-from .transport import (DensityPath, GridQuantileVelocity,
+from .transport import (DensityPath, GridQuantileVelocity, QuantilePath,
                         QuantileReassembledVelocity, VelocityField, _time_blend)
 
 MOTION_IDENTITY_TOL = 1e-8
@@ -406,19 +406,12 @@ def _assemble(problems, t_grid, r, u):
     return QuantileReassembledVelocity(t_grid, problems.z_nodes, Q, U)
 
 
-def _density_of_row(z_nodes, row, domain):
-    """Density of one quantile row, on ``domain`` widened to cover the row."""
-    domain = (min(domain[0], row[0]), max(domain[1], row[-1]))
-    return density_from_quantile(QuantileFunction(z_nodes, row, domain=domain))
-
-
 def _densities_from_rows(vel, domain, save_every=1):
-    """Densities of every ``save_every``-th row of ``vel.Q``, and of the last."""
+    """Path of every ``save_every``-th row of ``vel.Q``, and of the last."""
     keep = list(range(0, len(vel.t_nodes), save_every))
     if keep[-1] != len(vel.t_nodes) - 1:
         keep.append(len(vel.t_nodes) - 1)
-    return DensityPath(vel.t_nodes[keep],
-                       [_density_of_row(vel.z_nodes, vel.Q[j], domain) for j in keep])
+    return QuantilePath(vel.t_nodes[keep], vel.z_nodes, vel.Q[keep], domain)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +449,8 @@ def solve_general(scenario, refine=128, save_every=1):
     vel = _assemble(problems, t_grid, fam.r, fam.u)
     qvel = GridQuantileVelocity(problems.z_nodes, t_grid, vel.U)
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
-    breakdown = evaluate_cost(path, vel, scenario.demand, alpha, limit=K)
+    saved = np.searchsorted(t_grid, path.t)  # the path's times are grid times
+    breakdown = evaluate_cost(path, vel, [slices[j] for j in saved], alpha, limit=K)
 
     family = ScalarFamily(t_grid, problems.labels, problems.weights,
                           fam.r, fam.u, fam.y, fam.d, fam.p, fam.cost)
@@ -526,7 +520,7 @@ def solve_static(scenario, save_every=1):
     closed = w2_reach ** 2 * alpha * np.tanh(T / alpha) + K
 
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
-    breakdown = evaluate_cost(path, vel, scenario.demand, alpha, limit=K)
+    breakdown = evaluate_cost(path, vel, [qd] * len(path), alpha, limit=K)
 
     phi = lq.transition_r(params, t_grid, 0.0)
     p_t = lq.riccati(params)(t_grid)
@@ -618,7 +612,7 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     qvel = GridQuantileVelocity(problems.z_nodes, t_closed,
                                 u_closed[problems.node_problem].T)
     path = _densities_from_rows(vel, scenario.resource.domain)
-    breakdown = evaluate_cost(path, vel, demand, alpha, limit=K_avg * period,
+    breakdown = evaluate_cost(path, vel, slices_closed, alpha, limit=K_avg * period,
                               average=True)
 
     y = -alpha ** 2 * u_closed - alpha * r_closed
@@ -671,8 +665,7 @@ def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
         k4 = f(r + dt * k3, t0 + dt)
         r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rows.append(np.maximum.accumulate(r.copy()))
-    domain = scenario.resource.domain
-    return DensityPath(tw, [_density_of_row(vel.z_nodes, row, domain) for row in rows])
+    return QuantilePath(tw, vel.z_nodes, np.vstack(rows), scenario.resource.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -681,24 +674,36 @@ def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
 def evaluate_cost(trajectory, velocity, demand, alpha, limit=None, average=False):
     """Realized cost of a trajectory/velocity pair against a demand signal.
 
-    The assignment term integrates squared slice distances; the motion term
-    is computed twice, once in space (``int V^2 R dx``) and once in
-    percentile coordinates (``int U^2 dz`` with ``U = V o Q``), and the two
-    must agree to ``MOTION_IDENTITY_TOL`` per slice.  With ``average=True``
-    the integrals are divided by the spanned time.
+    ``demand`` is a ``DemandSignal`` or the sequence of demand quantiles at
+    ``trajectory.t``.  The assignment term integrates squared slice
+    distances, read from the quantile rows of a ``QuantilePath``; the
+    motion term is computed twice, once in space (``int V^2 R dx``) and once
+    in percentile coordinates (``int U^2 dz`` with ``U = V o Q``), and the
+    two must agree to ``MOTION_IDENTITY_TOL`` per slice.  With
+    ``average=True`` the integrals are divided by the spanned time.
     """
     t = np.asarray(trajectory.t, float)
     n = len(t)
-    a_t = np.empty(n)
+    if isinstance(demand, DemandSignal):
+        demand = [demand.quantile_at(tj) for tj in t]
+    if len(demand) != n:
+        raise ValueError(f"{len(demand)} demand slices for {n} trajectory times")
+    if isinstance(trajectory, QuantilePath):
+        a_t = _assignment_rows(trajectory, demand)
+        quantile = trajectory.quantile
+    else:
+        quantiles = [trajectory.quantile(j) for j in range(n)]
+        a_t = np.array([_pwlin.integral_sq_diff(qr.z, qr.values, qd.z, qd.values)
+                        for qr, qd in zip(quantiles, demand)])
+        quantile = quantiles.__getitem__
+    if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
+        U = np.vstack([velocity.slice_arrays(tj)[1] for tj in t])
+        mz_t = _motion_z_rows(velocity.z_nodes, U)
+    else:
+        mz_t = np.array([_motion_z(quantile(j), velocity, t[j]) for j in range(n)])
     mx_t = np.empty(n)
-    mz_t = np.empty(n)
     for j in range(n):
-        r_j = trajectory.densities[j]
-        qd = demand.quantile_at(t[j])
-        qr = quantile_of(r_j)
-        a_t[j] = _pwlin.integral_sq_diff(qr.z, qr.values, qd.z, qd.values)
-        mx_t[j] = _motion_x(r_j, velocity, t[j])
-        mz_t[j] = _motion_z(qr, velocity, t[j])
+        mx_t[j] = _motion_x(trajectory[j], velocity, t[j])
         scale = max(1.0, abs(mx_t[j]))
         if abs(mx_t[j] - mz_t[j]) > MOTION_IDENTITY_TOL * scale:
             raise NumericalError(
@@ -715,6 +720,23 @@ def evaluate_cost(trajectory, velocity, demand, alpha, limit=None, average=False
     total = assignment + alpha ** 2 * motion
     return CostBreakdown(assignment, motion, total, limit,
                          t=t, assignment_t=a_t, motion_x_t=mx_t, motion_z_t=mz_t)
+
+
+def _assignment_rows(path, demand):
+    """Squared L2 distance of each quantile row of ``path`` to its demand slice.
+
+    The rows that share one demand quantile (a static demand) are
+    integrated as one stack; each row reads as ``path.quantile(k)`` does.
+    """
+    a_t = np.empty(len(path))
+    groups = {}
+    for j, qd in enumerate(demand):
+        groups.setdefault(id(qd), []).append(j)
+    for js in groups.values():
+        qd = demand[js[0]]
+        rows = np.maximum.accumulate(path.Q[js], axis=-1)
+        a_t[js] = _pwlin.integral_sq_diff(path.z_nodes, rows, qd.z, qd.values)
+    return a_t
 
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
@@ -759,11 +781,7 @@ def _motion_z(qr, velocity, t):
     slice quantile and integrated with interior Gauss nodes.
     """
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
-        _, u_row = velocity.slice_arrays(t)
-        dz = np.diff(velocity.z_nodes)
-        seg = dz > 0
-        u0, u1 = u_row[:-1][seg], u_row[1:][seg]
-        return float(np.sum(dz[seg] * (u0 * u0 + u0 * u1 + u1 * u1) / 3.0))
+        return float(_motion_z_rows(velocity.z_nodes, velocity.slice_arrays(t)[1]))
     z = qr.z
     x_nodes = qr.values
     dz = np.diff(z)
@@ -773,3 +791,15 @@ def _motion_z(qr, velocity, t):
     g2 = np.asarray(velocity(_pwlin.eval_pw(mid_z + _GAUSS_OFFSET * dz, z, x_nodes,
                                             side="left"), t)) ** 2
     return float(np.sum(0.5 * dz * (g1 + g2)))
+
+
+def _motion_z_rows(z_nodes, U):
+    """``int U^2 dz`` over [0, 1] for each row of ``U`` on the nodes ``z_nodes``.
+
+    ``take`` keeps the gathered rows C-contiguous, so each row sums exactly
+    as a single row alone would.
+    """
+    dz = np.diff(z_nodes)
+    seg = np.flatnonzero(dz > 0)
+    u0, u1 = np.take(U, seg, axis=-1), np.take(U, seg + 1, axis=-1)
+    return np.sum(dz[seg] * (u0 * u0 + u0 * u1 + u1 * u1) / 3.0, axis=-1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _pwlin
 from .errors import NumericalError
-from .measures import Density, QuantileFunction, quantile_of
+from .measures import Density, QuantileFunction, density_from_quantile, quantile_of
 
 CROSS_TOL = 1e-9      # relative crossing tolerance for characteristics
 FLAT_INPUT_TOL = 1e-9  # velocity spread allowed across one flat interval
@@ -121,6 +121,45 @@ class DensityPath:
 
     def __len__(self):
         return len(self.densities)
+
+    def quantile(self, k):
+        """Quantile function of the ``k``-th slice."""
+        return quantile_of(self[k])
+
+
+class QuantilePath(DensityPath):
+    """Density path held as quantile rows ``Q`` on shared percentile nodes.
+
+    Row ``k`` is the quantile of the slice at ``t[k]``; the slice's domain
+    is ``domain`` widened to cover the row.  The densities are built from
+    the rows the first time ``densities`` or ``path[k]`` is read, and then
+    kept as one list, so an assignment into it persists.
+    """
+
+    def __init__(self, t, z_nodes, Q, domain):
+        self.t = np.asarray(t, float)
+        self.z_nodes = np.asarray(z_nodes, float)
+        self.Q = np.asarray(Q, float)
+        self.domain = domain
+        self._densities = None
+
+    @property
+    def densities(self):
+        if self._densities is None:
+            self._densities = [density_from_quantile(self.quantile(k))
+                               for k in range(len(self))]
+        return self._densities
+
+    def __len__(self):
+        return len(self.Q)
+
+    def __repr__(self):  # the dataclass repr would build every density
+        return f"QuantilePath({len(self)} slices, {len(self.z_nodes)} nodes)"
+
+    def quantile(self, k):
+        row = self.Q[k]
+        domain = (min(self.domain[0], row[0]), max(self.domain[1], row[-1]))
+        return QuantileFunction(self.z_nodes, row, domain=domain)
 
 
 def _rk4_positions(pts, v, T, nt):

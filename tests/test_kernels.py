@@ -4,17 +4,24 @@ The references here are the per-item loops the kernels replaced, written
 without the kernels they check, so a shared defect cannot hide.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmlq import (Density, QuantileFunction, _pwlin, cdf_of, density_from_quantile,
-                     lq, quantile_of)
-from swarmlq.partition import build_partition, limit_constant_K
+from swarmlq import (Density, DensityPath, QuantileFunction, QuantilePath, _pwlin, cdf_of,
+                     density_from_quantile, lq, quantile_of, transport)
+from swarmlq.partition import (LevelSetPartition, average_wrt_partition, build_partition,
+                               cell_means, limit_constant_K)
 from swarmlq.regimes import (SampledDemand, StaticOptimalVelocity, _demand_jump_knots,
-                             _demand_matrix, _motion_x, _motion_z, _problem_structure)
+                             _demand_matrix, _densities_from_rows, _motion_x, _motion_z,
+                             _motion_z_rows, _problem_structure, evaluate_cost,
+                             solve_general, solve_static)
 from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
+
+from helpers import random_scenario, reference_static_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -196,6 +203,81 @@ def _ref_sampled_quantile(times, densities, t):
     return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
 
 
+def _ref_eval_pw(xq, x, v, side):
+    """Breakpoint curve at ``xq``: one masked branch per kind of query."""
+    xq = np.asarray(xq, dtype=float)
+    scalar = xq.ndim == 0
+    xq = np.atleast_1d(xq)
+    out = np.empty_like(xq)
+    if side == "right":
+        idx = np.searchsorted(x, xq, side="right") - 1
+        below = idx < 0
+        idx = np.clip(idx, 0, len(x) - 1)
+        top = idx >= len(x) - 1
+        mid = ~(below | top)
+        out[below] = v[0]
+        out[top] = v[-1]
+        i = idx[mid]
+        w = (xq[mid] - x[i]) / (x[i + 1] - x[i])
+        out[mid] = v[i] + w * (v[i + 1] - v[i])
+    else:
+        idx = np.searchsorted(x, xq, side="left")
+        above = idx >= len(x)
+        idx = np.clip(idx, 0, len(x) - 1)
+        exact = ~above & (x[idx] == xq)
+        bottom = ~above & ~exact & (idx == 0)
+        mid = ~(above | exact | bottom)
+        out[above] = v[-1]
+        out[exact] = v[idx[exact]]
+        out[bottom] = v[0]
+        i = idx[mid]
+        w = (xq[mid] - x[i - 1]) / (x[i] - x[i - 1])
+        out[mid] = v[i - 1] + w * (v[i] - v[i - 1])
+    return out[0] if scalar else out
+
+
+def _ref_motion_z_row(z, u):
+    """``int u^2 dz`` of one row, over the segments of positive length."""
+    dz = np.diff(z)
+    seg = dz > 0
+    u0, u1 = u[:-1][seg], u[1:][seg]
+    return float(np.sum(dz[seg] * (u0 * u0 + u0 * u1 + u1 * u1) / 3.0))
+
+
+def _ref_density_of_row(z_nodes, row, domain):
+    """Density of one quantile row, on ``domain`` widened to cover the row."""
+    domain = (min(domain[0], row[0]), max(domain[1], row[-1]))
+    return density_from_quantile(QuantileFunction(z_nodes, row, domain=domain))
+
+
+def _ref_average_wrt_partition(qd, p):
+    """Partition average with the end limits and gap ends all evaluated."""
+    lo, hi = p.cells[:, 0], p.cells[:, 1]
+    means = cell_means(qd, p.cells)
+    gap_lo = np.concatenate([[0.0], hi])
+    gap_hi = np.concatenate([lo, [1.0]])
+    g = np.flatnonzero(gap_hi > gap_lo)
+    gi = np.searchsorted(hi, qd.z, side="left")
+    inner = (qd.z > gap_lo[gi]) & (qd.z < gap_hi[gi])
+    k = len(means)
+    at = lambda zq, side: _ref_eval_pw(zq, qd.z, qd.values, side)
+    z = np.concatenate([[0.0], gap_lo[g], qd.z[inner], gap_hi[g], lo, hi, [1.0]])
+    v = np.concatenate([at([0.0], "right"), at(gap_lo[g], "right"),
+                        qd.values[inner], at(gap_hi[g], "left"),
+                        means, means, at([1.0], "left")])
+    slot = np.concatenate([[0], 2 * g + 1, 2 * gi[inner] + 1, 2 * g + 1,
+                           2 * np.arange(k) + 2, 2 * np.arange(k) + 2, [2 * k + 2]])
+    order = np.lexsort((z, slot))
+    z, v = _pwlin.dedupe(z[order], v[order])
+    return QuantileFunction(z, v, domain=qd.domain)
+
+
+def _same_density(a, b):
+    return (a.domain == b.domain and np.array_equal(a.edges, b.edges)
+            and np.array_equal(a.values, b.values) and np.array_equal(a.atom_x, b.atom_x)
+            and np.array_equal(a.atom_m, b.atom_m))
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -272,6 +354,34 @@ def knotted_velocities(draw, d):
                                      max_size=len(q_row))))
     return QuantileReassembledVelocity([0.0, 1.0], z, np.vstack([q_row, q_row]),
                                        np.vstack([u_row, u_row]))
+
+
+@st.composite
+def stacks(draw):
+    """Curves stacked on shared breakpoints, with queries on, between and outside them.
+
+    Breakpoints repeat (jumps); up to 60 of them make reductions long enough
+    for numpy's pairwise summation to depend on the memory layout.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 60))
+    x = np.sort(rng.choice(np.linspace(-1.0, 1.0, n + 3), n))
+    V = rng.normal(size=(draw(st.integers(1, 5)), n))
+    xq = np.concatenate([rng.uniform(-1.5, 1.5, draw(st.integers(0, 40))),
+                         rng.choice(x, draw(st.integers(0, 10)))])
+    return x, V, xq
+
+
+@st.composite
+def partitions(draw):
+    """Cells on a coarse z grid, with or without gaps at 0, at 1 and between cells."""
+    grid = np.linspace(0.0, 1.0, 9)
+    inner = draw(st.lists(st.sampled_from(grid[1:-1].tolist()), max_size=7))
+    cuts = np.unique(np.concatenate([[0.0, 1.0], inner]))
+    is_cell = draw(st.lists(st.booleans(), min_size=len(cuts) - 1,
+                            max_size=len(cuts) - 1))
+    cells = np.column_stack([cuts[:-1], cuts[1:]])[np.asarray(is_cell, bool)]
+    return LevelSetPartition(cells, np.arange(len(cells), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -501,3 +611,185 @@ def test_demand_jump_knots_cap_is_logged(caplog):
     with caplog.at_level("WARNING", logger="swarmlq"):
         assert np.array_equal(_demand_jump_knots(slices[:200]), zs[:200])
     assert not caplog.records
+
+
+@PROPERTY
+@given(stacks())
+def test_eval_pw_matches_masked_reference(stack):
+    x, V, xq = stack
+    v = V[0]
+    for side in ("left", "right"):
+        assert np.array_equal(_pwlin.eval_pw(xq, x, v, side), _ref_eval_pw(xq, x, v, side))
+        for q in xq[:5]:
+            got = _pwlin.eval_pw(q, x, v, side)
+            assert np.ndim(got) == 0 and got == _ref_eval_pw(q, x, v, side)
+    assert _pwlin.eval_pw(np.empty(0), x, v, "left").shape == (0,)
+
+
+@PROPERTY
+@given(stacks(), st.data())
+def test_stacked_kernels_equal_per_row_calls(stack, data):
+    # bit for bit: each row of a stack must reduce exactly as the row alone
+    x, V, xq = stack
+    for side in ("left", "right"):
+        got = _pwlin.eval_pw(xq, x, V, side)
+        assert got.shape == (len(V), len(xq))
+        for row, v in zip(got, V):
+            assert np.array_equal(row, _pwlin.eval_pw(xq, x, v, side))
+        if len(xq):
+            assert np.array_equal(_pwlin.eval_pw(xq[0], x, V, side), got[:, 0])
+    xb, Vb, _ = data.draw(stacks())
+    vb = Vb[0]
+    lo, hi = sorted(data.draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))))
+    for bounds in ({}, {"lo": lo, "hi": hi}):
+        got = _pwlin.integral_sq_diff(x, V, xb, vb, **bounds)
+        assert got.shape == (len(V),)
+        for g, v in zip(got, V):
+            assert g == _pwlin.integral_sq_diff(x, v, xb, vb, **bounds)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 60), st.integers(2, 6))
+def test_stacked_motion_term_equals_per_slice_calls(seed, n, m):
+    rng = np.random.default_rng(seed)
+    z = np.sort(np.concatenate([[0.0, 1.0], rng.choice(np.linspace(0.0, 1.0, 9), n - 2)]))
+    t_nodes = np.sort(rng.uniform(0.0, 3.0, m))
+    Q = np.sort(rng.uniform(0.0, 10.0, (m, n)), axis=-1)
+    vel = QuantileReassembledVelocity(t_nodes, z, Q, rng.normal(size=(m, n)))
+    ts = np.concatenate([t_nodes, rng.uniform(t_nodes[0], t_nodes[-1], 3)])
+    got = _motion_z_rows(vel.z_nodes, np.vstack([vel.slice_arrays(t)[1] for t in ts]))
+    for g, t in zip(got, ts):
+        q = QuantileFunction(z, vel.slice_arrays(t)[0])
+        assert g == _motion_z(q, vel, t) == _ref_motion_z_row(z, vel.slice_arrays(t)[1])
+
+
+@PROPERTY
+@given(quantiles(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_quantile_path_builds_the_row_densities_once(q, seed, save_every):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    # rows keep the flats and jumps of ``q``; some leave the domain
+    Q = rng.uniform(-3.0, 3.0, (m, 1)) + rng.uniform(0.5, 2.0, (m, 1)) * q.values
+    vel = type("Rows", (), {"t_nodes": np.linspace(0.0, 1.0, m), "z_nodes": q.z, "Q": Q})
+    domain = (-4.0, 6.0)
+    path = _densities_from_rows(vel, domain, save_every)
+    keep = sorted(set(range(0, m, save_every)) | {m - 1})
+    assert isinstance(path, QuantilePath) and len(path) == len(keep)
+    assert np.array_equal(path.t, vel.t_nodes[keep])
+    for k, j in enumerate(keep):
+        want = _ref_density_of_row(q.z, Q[j], domain)
+        qk = path.quantile(k)
+        assert np.array_equal(qk.values, QuantileFunction(q.z, Q[j]).values)
+        assert qk.domain == want.domain
+        assert _same_density(path[k], want)
+    assert path.densities is path.densities
+    first = path[0]
+    path.densities[-1] = first
+    assert path[-1] is first and path.densities[-1] is first
+
+
+def test_quantile_path_builds_densities_on_first_read(monkeypatch):
+    built = []
+    real = transport.density_from_quantile
+    monkeypatch.setattr(transport, "density_from_quantile",
+                        lambda q: built.append(q) or real(q))
+    z = np.array([0.0, 0.5, 0.5, 1.0])
+    path = QuantilePath([0.0, 1.0, 2.0], z, [[1.0, 2.0, 3.0, 4.0]] * 3, (0.0, 10.0))
+    assert len(path) == 3
+    q = path.quantile(1)
+    assert np.array_equal(q.z, z) and np.array_equal(q.values, [1.0, 2.0, 3.0, 4.0])
+    assert q.domain == (0.0, 10.0)
+    assert not built
+    path[1]
+    assert len(built) == 3
+    path.densities
+    path[2]
+    assert len(built) == 3
+    assert repr(path) == "QuantilePath(3 slices, 4 nodes)"
+
+
+def _evaluate_both_ways(trajectory, sol, demand, alpha):
+    """``evaluate_cost`` on a path, and on a ``DensityPath`` of the same densities."""
+    rows = evaluate_cost(trajectory, sol.velocity, demand, alpha)
+    dens = DensityPath(trajectory.t, list(trajectory.densities))
+    return rows, evaluate_cost(dens, sol.velocity, demand, alpha)
+
+
+@pytest.mark.parametrize("kind", ["static", "general"])
+def test_evaluate_cost_on_rows_matches_densities(kind):
+    if kind == "static":
+        scen = reference_static_scenario(nt=200)
+        sol = solve_static(scen, save_every=10)
+    else:
+        scen = random_scenario(np.random.default_rng(5), nt=120)
+        sol = solve_general(scen, save_every=6)
+    path = sol.trajectory
+    assert isinstance(path, QuantilePath)
+    rows, dens = _evaluate_both_ways(path, sol, scen.demand, scen.alpha)
+    assert np.array_equal(rows.motion_x_t, dens.motion_x_t)
+    assert np.array_equal(rows.motion_z_t, dens.motion_z_t)
+    np.testing.assert_allclose(rows.assignment_t, dens.assignment_t, rtol=1e-13, atol=0)
+    # the solver's own breakdown took the demand as the slices it held
+    assert np.array_equal(rows.assignment_t, sol.breakdown.assignment_t)
+    assert np.array_equal(rows.motion_x_t, sol.breakdown.motion_x_t)
+    assert np.array_equal(rows.motion_z_t, sol.breakdown.motion_z_t)
+    slices = [scen.demand.quantile_at(t) for t in path.t]
+    by_slice = evaluate_cost(path, sol.velocity, slices, scen.alpha)
+    for f in dataclasses.fields(rows):
+        assert np.array_equal(getattr(by_slice, f.name), getattr(rows, f.name)), f.name
+    with pytest.raises(ValueError, match="demand slices"):
+        evaluate_cost(path, sol.velocity, slices[:-1], scen.alpha)
+
+
+def test_evaluate_cost_on_rows_with_a_plain_velocity_field():
+    # no ``slice_arrays``: the percentile motion term reads each slice's quantile
+    scen = random_scenario(np.random.default_rng(6), nt=60)
+    path = solve_general(scen, save_every=6).trajectory
+    still = type("Sol", (), {"velocity": CallableVelocity(lambda x, t: 0.3 - 0.1 * x)})
+    rows, dens = _evaluate_both_ways(path, still, scen.demand, scen.alpha)
+    assert np.array_equal(rows.motion_x_t, dens.motion_x_t)
+    np.testing.assert_allclose(rows.motion_z_t, dens.motion_z_t, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(rows.assignment_t, dens.assignment_t, rtol=1e-13, atol=0)
+
+
+@PROPERTY
+@given(quantiles(), quantiles(), st.integers(0, 2 ** 32 - 1))
+def test_assignment_rows_read_as_the_path_quantiles(q, qd, seed):
+    # rows dip by up to 1e-12 (within the monotonicity tolerance); slices
+    # share the demand ``qd`` or have their own
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    Q = q.values + rng.uniform(-1.0, 1.0, (m, 1)) - rng.uniform(0.0, 1e-12, (m, len(q.z)))
+    path = QuantilePath(np.linspace(0.0, 1.0, m), q.z, Q, (-10.0, 10.0))
+    own = QuantileFunction(qd.z, qd.values + 0.5)
+    demand = [own if rng.random() < 0.3 else qd for _ in range(m)]
+    still = CallableVelocity(lambda x, t: np.zeros_like(x))
+    a_t = evaluate_cost(path, still, demand, 1.0).assignment_t
+    for j in range(m):
+        qj = path.quantile(j)
+        want = _pwlin.integral_sq_diff(qj.z, qj.values, demand[j].z, demand[j].values)
+        assert a_t[j] == want
+
+
+@pytest.mark.parametrize("cells", [
+    [[0.25, 0.5]],                 # gaps at 0 and at 1
+    [[0.0, 0.25], [0.5, 1.0]],     # one interior gap
+    [[0.0, 0.5], [0.5, 1.0]],      # no gaps
+    [[0.0, 0.375], [0.75, 0.875]],  # interior gap and a gap at 1
+    [],                            # no cells: one gap over all of [0, 1]
+])
+@PROPERTY
+@given(quantiles())
+def test_average_wrt_partition_matches_reference_on_layouts(cells, q):
+    p = LevelSetPartition(np.reshape(cells, (-1, 2)), np.arange(len(cells), dtype=float))
+    got, want = average_wrt_partition(q, p), _ref_average_wrt_partition(q, p)
+    assert np.array_equal(got.z, want.z) and np.array_equal(got.values, want.values)
+    assert got.domain == want.domain
+
+
+@PROPERTY
+@given(quantiles(), partitions())
+def test_average_wrt_partition_matches_reference(q, p):
+    got, want = average_wrt_partition(q, p), _ref_average_wrt_partition(q, p)
+    assert np.array_equal(got.z, want.z) and np.array_equal(got.values, want.values)
+    assert got.domain == want.domain
