@@ -386,17 +386,27 @@ def _demand_matrix(problems, slices):
     return out
 
 
-def _check_order(problems, r):
-    """Scalar trajectories reassemble monotonically; atom levels stay strict."""
+def _check_order(problems, t, r, alpha):
+    """Scalar trajectories reassemble monotonically; atom levels stay strict.
+
+    Atoms whose gap decays like ``exp(-t/alpha)`` become the same float once
+    it falls below their resolution; that is reported apart from a crossing.
+    """
     order = np.argsort(problems.r0, kind="stable")
     rs = r[order]
     if np.any(np.diff(rs, axis=0) < -1e-12):
         raise NumericalError("regimes", "scalar trajectories crossed during reassembly")
     cells = [k for k, kind in enumerate(problems.kinds) if kind[0] == "cell"]
     if len(cells) > 1:
-        rc = r[cells]
-        if np.any(np.diff(rc, axis=0) <= 0):
-            raise NumericalError("regimes", "atom trajectories merged or crossed")
+        gap = np.diff(r[cells], axis=0)
+        if np.any(gap < 0):
+            raise NumericalError("regimes", "atom trajectories crossed")
+        merged = np.flatnonzero(np.any(gap == 0, axis=0))
+        if len(merged):
+            raise NumericalError(
+                "regimes", f"atom trajectories merged at t={t[merged[0]]:g}: their gap "
+                f"fell below float resolution (float saturation, T/alpha = "
+                f"{t[-1] / alpha:g})")
 
 
 def _assemble(problems, t_grid, r, u):
@@ -442,7 +452,7 @@ def solve_general(scenario, refine=128, save_every=1):
 
     params = lq.LQParams(alpha, T, nt)
     fam = lq.solve_family(params, problems.r0, d)
-    _check_order(problems, fam.r)
+    _check_order(problems, t_grid, fam.r, alpha)
     K = limit_constant_K(t_grid, slices, part)
     cost = float(np.sum(problems.weights * fam.cost) + K)
 
@@ -553,7 +563,7 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     ``n_harmonics``; the neglected tail of the returned trajectory decays
     like ``w**-2``).  The reported cost is the infinite-horizon average,
     including the full untruncated tracking residual and the averaging
-    floor.  A warm-up simulation of length ``3 * alpha`` from the initial
+    floor.  A closed-form warm-up of length ``3 * alpha`` from the initial
     resource is attached; steady-state behavior does not depend on it.
     """
     demand = scenario.demand
@@ -605,7 +615,7 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     r_closed = np.column_stack([r, r[:, 0]])
     u_closed = np.column_stack([u, u[:, 0]])
     d_closed = np.column_stack([d, d[:, 0]])
-    _check_order(problems, r_closed)
+    _check_order(problems, t_closed, r_closed, alpha)
     vel = PeriodicVelocity(t_closed, problems.z_nodes,
                            r_closed[problems.node_problem].T,
                            u_closed[problems.node_problem].T)
@@ -620,7 +630,7 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
                           r_closed, u_closed, y, d_closed,
                           np.full(nt + 1, alpha), J)
     table = _frequency_table(problems, coef, r_hat, omega, n_harmonics)
-    warm = _warmup_path(scenario, problems, vel, y)
+    warm = _warmup_path(scenario, problems, vel)
     return OptimalControlSolution(t_closed, path, vel, qvel, breakdown, cost,
                                   part, family, period=period,
                                   frequency_table=table, warmup=warm)
@@ -638,34 +648,23 @@ def _frequency_table(problems, coef, r_hat, omega, n_harmonics):
     return rows
 
 
-def _warmup_path(scenario, problems, vel, y_nodes_closed, n_steps=200):
+def _warmup_path(scenario, problems, vel, n_steps=200):
     """Closed-loop relaxation from the initial resource toward steady state.
 
-    Integrates ``rdot = -(alpha r + y_ss(t)) / alpha^2`` with the periodic
-    steady-state feedforward over ``[0, 3 alpha]``.
+    The warm-up loop ``rdot = -(alpha r + y_ss(t)) / alpha^2`` has the
+    periodic steady state ``r_ss`` as a particular solution, so over
+    ``[0, 3 alpha]`` it is ``r_ss(t) + exp(-t/alpha) (r(0) - r_ss(0))``.
     """
     alpha = scenario.alpha
     period = vel.t_nodes[-1]
-    T_w = 3.0 * alpha
-    tw = np.linspace(0.0, T_w, n_steps + 1)
-    r = problems.r0[problems.node_problem].astype(float).copy()
-    dt = T_w / n_steps
-    rows = [r.copy()]
-    y_rows = y_nodes_closed[problems.node_problem].T
-
-    def f(rr, t):
-        yv = _time_blend(vel.t_nodes, y_rows, t % period)
-        return -(alpha * rr + yv) / alpha ** 2
-
-    for k in range(n_steps):
-        t0 = tw[k]
-        k1 = f(r, t0)
-        k2 = f(r + 0.5 * dt * k1, t0 + 0.5 * dt)
-        k3 = f(r + 0.5 * dt * k2, t0 + 0.5 * dt)
-        k4 = f(r + dt * k3, t0 + dt)
-        r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        rows.append(np.maximum.accumulate(r.copy()))
-    return QuantilePath(tw, vel.z_nodes, np.vstack(rows), scenario.resource.domain)
+    tw = np.linspace(0.0, 3.0 * alpha, n_steps + 1)
+    r0 = problems.r0[problems.node_problem].astype(float)
+    decay = np.exp(-tw / alpha)
+    # r0 + (r_ss - r_ss) at t = 0, so the first row is the initial resource exactly
+    rows = [w * r0 + (_time_blend(vel.t_nodes, vel.Q, t % period) - w * vel.Q[0])
+            for t, w in zip(tw, decay)]
+    return QuantilePath(tw, vel.z_nodes, np.maximum.accumulate(rows, axis=1),
+                        scenario.resource.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,33 @@ def test_family_batched_consistency():
     assert fam.cost[1] == one.cost
 
 
+STIFFNESS = (1e-2, 0.1, 1.0, 10.0, 50.0, 500.0)  # dt / alpha
+
+
+@pytest.mark.parametrize("ratio", STIFFNESS)
+def test_family_cost_matches_static_closed_form_at_any_stiffness(ratio):
+    T, nt = 10.0, 200
+    params = lq.LQParams(T / nt / ratio, T, nt)
+    r0 = np.array([0.0, -1.0, 2.5, 4.0])
+    level = np.array([3.0, 1.0, 2.5 + 1e-3, -2.0])
+    fam = lq.solve_family(params, r0, np.repeat(level[:, None], nt + 1, axis=1))
+    want = lq.static_cost(params, r0, level)
+    assert np.all(np.abs(fam.cost - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("ratio", STIFFNESS)
+def test_feedforward_matches_derived_feedforward(ratio):
+    # y from the backward sweep equals -(alpha^2 u + p r) of the solved family
+    T, nt = 10.0, 200
+    params = lq.LQParams(T / nt / ratio, T, nt)
+    t = params.t_grid
+    d = np.vstack([1.0 + 0.5 * np.sin(2.0 * t), np.abs(t - 3.7) - 2.0, np.full(nt + 1, 3.0)])
+    fam = lq.solve_family(params, np.array([0.3, -1.0, 0.0]), d)
+    derived = -(params.alpha ** 2 * fam.u + fam.p * fam.r)
+    scale = np.max(np.abs(fam.y), axis=-1, keepdims=True)
+    assert np.all(np.abs(fam.y - derived) <= 1e-12 * scale)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         lq.LQParams(-1.0, 1.0, 10)

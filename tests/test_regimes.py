@@ -1,10 +1,14 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (bimodal_demand, eleven_atom_resource, random_scenario,
                      reference_static_scenario)
 from swarmlq import Density, lq, quantile_of, wasserstein2
-from swarmlq.errors import ConfigError
+from swarmlq.errors import ConfigError, NumericalError
 from swarmlq.partition import averaged_density, build_partition
 from swarmlq.regimes import (PeriodicDemand, SampledDemand, Scenario,
                              StaticDemand, evaluate_cost, solve_general,
@@ -122,6 +126,63 @@ def test_general_matches_direct_optimization_oracle():
     _, gd_cost, _ = oracle.direct_optimal_control(inst, seed=SEED)
     assert sol.cost <= gd_cost * 1.005
     assert gd_cost <= sol.cost * 1.02  # oracle should land close from above
+
+
+@pytest.mark.parametrize("ratio", (1e-2, 0.1, 0.5, 2.5, 5.0, 50.0))
+def test_general_matches_static_at_any_stiffness(ratio):
+    # two atoms tracking two static atoms; dt/alpha from smooth to stiff
+    T, nt = 10.0, 200
+    res = Density((0, 10), atoms=[(1.0, 0.4), (4.0, 0.6)])
+    dem = Density((0, 10), atoms=[(3.0, 0.5), (6.0, 0.5)])
+    scen = Scenario(res, StaticDemand(dem), alpha=T / nt / ratio, horizon=T, nt=nt)
+    sol_s = solve_static(scen, save_every=50)
+    sol_g = solve_general(scen, save_every=50)
+    assert sol_g.cost == pytest.approx(sol_s.cost, rel=1e-9)
+
+
+def test_general_names_float_saturation_of_merging_atoms():
+    # both atoms track one demand atom: their gap decays like exp(-t/alpha)
+    # until the two trajectories are the same float
+    res = Density((0, 10), atoms=[(1.0, 0.5), (4.0, 0.5)])
+    dem = Density((0, 10), atoms=[(3.0, 1.0)])
+    scen = Scenario(res, StaticDemand(dem), alpha=0.1, horizon=10.0, nt=200)
+    assert solve_static(scen).cost == pytest.approx(0.25, rel=1e-12)
+    with pytest.raises(NumericalError, match=r"merged at t=.*float saturation, T/alpha = 100"):
+        solve_general(scen)
+
+
+def _mixed(domain, atom, edges, mass, s=1.0, c=0.0):
+    """One atom plus one histogram cell, under ``x -> s x + c``."""
+    lo, hi = s * np.asarray(domain) + c
+    x0, x1 = s * np.asarray(edges) + c
+    return Density((lo, hi), atoms=[(s * atom + c, mass)], edges=[x0, x1],
+                   values=[(1.0 - mass) / (x1 - x0)], normalize=True)
+
+
+def _affine_scenario(kind, s=1.0, c=0.0):
+    res = _mixed((0, 80), 16.0, [32.0, 56.0], 0.4, s, c)
+    if kind == "static":
+        demand = StaticDemand(_mixed((0, 80), 24.0, [40.0, 64.0], 0.3, s, c))
+    else:
+        times = np.linspace(0.0, 2.0, 5)
+        demand = SampledDemand(times, [_mixed((0, 80), 24.0 + 4.0 * np.sin(t),
+                                              [40.0 - 2.4 * t, 64.0], 0.3, s, c)
+                                       for t in times])
+    return Scenario(res, demand, alpha=0.5, horizon=2.0, nt=40)
+
+
+@functools.cache
+def _affine_base_cost(kind):
+    return solve_general(_affine_scenario(kind), save_every=40).cost
+
+
+@pytest.mark.parametrize("kind", ("static", "sampled"))
+@settings(max_examples=25, deadline=None)
+@given(s=st.floats(0.5, 3.0), c=st.floats(-1e6, 1e6))
+def test_general_cost_scales_under_affine_maps(kind, s, c):
+    # every cost term is quadratic in positions: x -> s x + c scales it by s^2
+    cost = solve_general(_affine_scenario(kind, s, c), save_every=40).cost
+    assert cost == pytest.approx(s * s * _affine_base_cost(kind), rel=1e-10)
 
 
 def test_general_rejects_missing_horizon():
