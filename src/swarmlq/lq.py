@@ -1,30 +1,25 @@
 """Scalar finite-horizon LQ tracking in closed form.
 
 Each tracking problem minimizes ``int (r - d)**2 + alpha**2 u**2`` over
-``[0, T]`` subject to ``rdot = u``.  Its optimum solves the Euler-Lagrange
-two-point problem ``alpha**2 r'' = r - d``, ``r(0) = r0``, ``r'(T) = 0``
-(Anderson & Moore, *Optimal Control: Linear Quadratic Methods*, 1990).  For
-a reference that is piecewise linear between grid samples, ``r - d`` is
-hyperbolic on each step, so a family of problems is one tridiagonal solve
-and the cost has a closed form per step.  The optimal control also splits
-into a feedback part driven by the Riccati solution
+``[0, T]`` subject to ``rdot = u``.  Its optimum solves ``alpha**2 r'' =
+r - d``, ``r(0) = r0``, ``r'(T) = 0`` (Anderson & Moore, 1990), which for a
+piecewise-linear reference is one tridiagonal solve per family.  The
+optimal control ``u = -(p r + y) / alpha**2`` splits into a feedback part
+driven by the Riccati solution
 
     p(t) = alpha * tanh((T - t) / alpha)
 
-and an anti-causal feedforward ``y``, with ``u = -(p r + y) / alpha**2``,
-obtained by integrating the reference backwards against the kernel
-``cosh((T - tau)/alpha) / cosh((T - t)/alpha)``.  The feedforward recursion
-uses exact per-step integrals of that kernel, written with nonpositive
-exponents only; the transition factors switch cosh ratios to log space once
-arguments grow large.
+and an anti-causal feedforward ``y``: the reference integrated backwards
+against ``cosh((T - tau)/alpha) / cosh((T - t)/alpha)`` with exact per-step
+integrals, written with nonpositive exponents only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
-_LOG_SPACE_ARG = 350.0  # switch cosh ratios to log space beyond this
+_LOG_SPACE_ARG = 350.0  # switch cosh/sinh ratios to log space beyond this
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,11 @@ def _log_cosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
+def _log_sinh(x):
+    # valid for x > 0
+    return x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)
+
+
 def _cosh_ratio(num, den):
     """cosh(num) / cosh(den), safe for large arguments.
 
@@ -69,6 +69,18 @@ def _cosh_ratio(num, den):
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(big, np.exp(_log_cosh(num) - _log_cosh(den)),
                         np.cosh(num) / np.cosh(den))[()]
+
+
+def _sinh_over_cosh(num, den):
+    """sinh(num) / cosh(den) for num >= 0, safe for large arguments; see ``_cosh_ratio``."""
+    num = np.asarray(num, float)
+    den = np.asarray(den, float)
+    big = (np.abs(num) > _LOG_SPACE_ARG) | (np.abs(den) > _LOG_SPACE_ARG)
+    if not np.any(big):
+        return np.sinh(num) / np.cosh(den)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        logged = np.exp(_log_sinh(np.maximum(num, 1e-300)) - _log_cosh(den))
+        return np.where(big, np.where(num > 0, logged, 0.0), np.sinh(num) / np.cosh(den))[()]
 
 
 def riccati(params):
@@ -108,9 +120,8 @@ def _step_kernel_integrals(params, t):
     ``phi = phi_y(t_k, t_k+dt) <= 1``,
     ``I0 = int phi_y(t_k, tau) dtau`` and
     ``I1 = int (tau - t_k) phi_y(t_k, tau) dtau`` over the step, all exact.
-    Each cosh ratio is written with the step ``h = dt/alpha`` and
-    ``F = exp(-2 (T - t_k+1)/alpha)``, so every exponent is nonpositive and
-    no two large arguments are subtracted.
+    Exponents are nonpositive (step ``h = dt/alpha``, ``F = exp(-2 (T -
+    t_k+1)/alpha)``), so no two large arguments are subtracted.
     """
     a = params.alpha
     h = np.diff(t) / a
@@ -174,44 +185,50 @@ def solve_family(params, r0, d):
 
     ``r0`` has shape (B,), ``d`` is a callable of time returning (B, len(t))
     or an array (B, nt + 1) of samples, taken as a piecewise-linear signal.
-    The optimum solves the Euler-Lagrange problem ``alpha**2 r'' = r - d``,
-    ``r(0) = r0``, ``r'(T) = 0``: on each step ``e = r - d`` is hyperbolic,
-    and continuity of ``r'`` at the nodes gives one strictly diagonally
-    dominant tridiagonal system for ``e``, shared by the whole family and
-    solved once with B right-hand sides.  Trajectories and cost carry no
-    discretisation error at any ``dt/alpha``; the cost is summed per step
-    in a form that does not cancel.
+    On each step ``e = r - d`` is hyperbolic, so continuity of ``r'`` gives
+    one tridiagonal system for ``e`` shared by the family; one refinement
+    step, its residual in differences of ``e``, undoes the rounding of the
+    diagonal ``2 coth(dt/alpha)`` at small ``dt/alpha``.  Nothing is
+    discretised; the cost is summed per step in a form that does not cancel.
     """
     a, n = params.alpha, params.nt
     h = params.T / n
     x = h / a
     csch = 2.0 * np.exp(-x) / -np.expm1(-2.0 * x)
-    coth = 1.0 / np.tanh(x)
+    th = np.tanh(x / 2.0)  # coth - csch
     t = params.t_grid
     d = _sample_signal(d, t)
-    r0 = np.asarray(r0, float)
     s = np.diff(d, axis=-1) / h
-    e0 = r0 - d[..., 0]
 
-    # rows 1..n of the system in e[1..n]; row 1's e[0] term is on the right
-    ab = np.empty((3, n))
-    ab[0] = ab[2] = -csch
-    ab[1] = 2.0 * coth
-    ab[1, -1] = coth
-    rhs = np.empty(d.shape[:-1] + (n,))
-    rhs[..., :-1] = a * np.diff(s, axis=-1)
-    rhs[..., -1] = -a * s[..., -1]
-    rhs[..., 0] += csch * e0
-    e = np.concatenate([e0[..., None], solve_banded((1, 1), ab, rhs.T).T], axis=-1)
+    # rows 1..n of the symmetric system in e[1..n]: diagonal 2 coth (coth in
+    # row n), off-diagonals -csch
+    ab = np.empty((2, n))
+    ab[0] = 2.0 / np.tanh(x)
+    ab[0, -1] /= 2.0
+    ab[1] = -csch
+    b = a * np.diff(s, axis=-1, append=0.0)
+    w = np.append(np.full(n - 1, 2.0 * th), th)
+
+    def correction(e):
+        # b minus the system applied to e, as csch (second difference) + w e
+        g = np.diff(e, axis=-1, append=e[..., -1:])
+        res = b - csch * (g[..., :-1] - g[..., 1:]) - w * e[..., 1:]
+        return solveh_banded(ab, res.T, lower=True).T
+
+    e = np.zeros_like(d)
+    e[..., 0] = np.asarray(r0, float) - d[..., 0]
+    e[..., 1:] = correction(e)
+    c = correction(e)
+    g = np.diff(e, axis=-1) + np.diff(c, axis=-1, prepend=0.0)
+    e[..., 1:] += c
 
     r = d + e
     r[..., 0] = r0
-    ek, ek1 = e[..., :-1], e[..., 1:]
-    th = np.tanh(x / 2.0)  # coth - csch
     u = np.zeros_like(d)
-    u[..., :-1] = (csch * (ek1 - ek) - th * ek) / a + s
-    cost = np.sum(a * ((ek - ek1) ** 2 * csch + th * (ek ** 2 + ek1 ** 2))
-                  + a * a * s * (2.0 * (ek1 - ek) + s * h), axis=-1)
+    u[..., :-1] = (csch * g - th * e[..., :-1]) / a + s
+    ek, ek1 = e[..., :-1], e[..., 1:]
+    cost = np.sum(a * (g ** 2 * csch + th * (ek ** 2 + ek1 ** 2))
+                  + a * a * s * (2.0 * g + s * h), axis=-1)
     return ScalarLQSolution(t, riccati(params)(t), feedforward(params, d), r, u, d, cost)
 
 

@@ -386,11 +386,11 @@ def _demand_matrix(problems, slices):
     return out
 
 
-def _check_order(problems, t, r, alpha):
+def _check_order(problems, t, r, alpha=None):
     """Scalar trajectories reassemble monotonically; atom levels stay strict.
 
-    Atoms whose gap decays like ``exp(-t/alpha)`` become the same float once
-    it falls below their resolution; that is reported apart from a crossing.
+    A zero atom gap is reported apart from a crossing; given ``alpha`` (a
+    horizon ``t[-1]`` over which gaps decay), as likely float saturation.
     """
     order = np.argsort(problems.r0, kind="stable")
     rs = r[order]
@@ -403,10 +403,11 @@ def _check_order(problems, t, r, alpha):
             raise NumericalError("regimes", "atom trajectories crossed")
         merged = np.flatnonzero(np.any(gap == 0, axis=0))
         if len(merged):
-            raise NumericalError(
-                "regimes", f"atom trajectories merged at t={t[merged[0]]:g}: their gap "
-                f"fell below float resolution (float saturation, T/alpha = "
-                f"{t[-1] / alpha:g})")
+            msg = f"atom trajectories merged at t={t[merged[0]]:g}: their gap is exactly zero"
+            if alpha is not None:
+                msg += (f"; float saturation is likely when T/alpha >> 1 "
+                        f"(T/alpha = {t[-1] / alpha:g})")
+            raise NumericalError("regimes", msg)
 
 
 def _assemble(problems, t_grid, r, u):
@@ -615,7 +616,7 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     r_closed = np.column_stack([r, r[:, 0]])
     u_closed = np.column_stack([u, u[:, 0]])
     d_closed = np.column_stack([d, d[:, 0]])
-    _check_order(problems, t_closed, r_closed, alpha)
+    _check_order(problems, t_closed, r_closed)
     vel = PeriodicVelocity(t_closed, problems.z_nodes,
                            r_closed[problems.node_problem].T,
                            u_closed[problems.node_problem].T)

@@ -535,6 +535,10 @@ def test_cosh_ratios_batched_equal_scalar_calls():
     batched = lq.transition_r(params, t, tau)
     scalar = np.array([lq.transition_r(params, a, b) for a, b in zip(t, tau)])
     assert np.array_equal(batched, scalar)
+    num, den = 1000.0 - t, 1000.0 - tau
+    batched = lq._sinh_over_cosh(num, den)
+    scalar = np.array([lq._sinh_over_cosh(a, b) for a, b in zip(num, den)])
+    assert np.array_equal(batched, scalar)
 
 
 @PROPERTY

@@ -223,9 +223,10 @@ def test_family_batched_consistency():
 
 
 STIFFNESS = (1e-2, 0.1, 1.0, 10.0, 50.0, 500.0)  # dt / alpha
+SLOW = (1e-4, 1e-3)  # dt / alpha where e = r - d changes little per step
 
 
-@pytest.mark.parametrize("ratio", STIFFNESS)
+@pytest.mark.parametrize("ratio", SLOW + STIFFNESS)
 def test_family_cost_matches_static_closed_form_at_any_stiffness(ratio):
     T, nt = 10.0, 200
     params = lq.LQParams(T / nt / ratio, T, nt)
@@ -236,7 +237,24 @@ def test_family_cost_matches_static_closed_form_at_any_stiffness(ratio):
     assert np.all(np.abs(fam.cost - want) <= 1e-12 * want)
 
 
-@pytest.mark.parametrize("ratio", STIFFNESS)
+@pytest.mark.parametrize("ratio", SLOW + STIFFNESS)
+def test_family_trajectories_match_static_closed_form_at_any_stiffness(ratio):
+    T, nt = 10.0, 200
+    params = lq.LQParams(T / nt / ratio, T, nt)
+    t, a = params.t_grid, params.alpha
+    r0 = np.array([0.0, -1.0, 4.0])
+    level = np.array([3.0, 1.0, -2.0])
+    fam = lq.solve_family(params, r0, np.repeat(level[:, None], nt + 1, axis=1))
+    # e = r - level = e0 cosh((T - t)/a) / cosh(T/a), with nonpositive exponents only
+    e = (r0 - level)[:, None] * np.exp(-t / a) * (1.0 + np.exp(-2.0 * (T - t) / a)) \
+        / (1.0 + np.exp(-2.0 * T / a))
+    r = level[:, None] + e
+    u = -lq.riccati(params)(t) * e / a ** 2
+    assert np.all(np.abs(fam.r - r) <= 1e-14 * 6.0)
+    assert np.all(np.abs(fam.u - u) <= 1e-13 * np.max(np.abs(u), axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("ratio", SLOW[1:] + STIFFNESS)
 def test_feedforward_matches_derived_feedforward(ratio):
     # y from the backward sweep equals -(alpha^2 u + p r) of the solved family
     T, nt = 10.0, 200

@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from swarmlq import Density, lq, quantile_of, wasserstein2
 from swarmlq.errors import ConfigError, NumericalError
 from swarmlq.partition import averaged_density, build_partition
 from swarmlq.regimes import (PeriodicDemand, SampledDemand, Scenario,
-                             StaticDemand, evaluate_cost, solve_general,
-                             solve_periodic, solve_static)
+                             StaticDemand, _check_order, evaluate_cost,
+                             solve_general, solve_periodic, solve_static)
 from swarmlq.transport import CallableVelocity, DensityPath
 
 SEED = 424242
@@ -147,8 +148,22 @@ def test_general_names_float_saturation_of_merging_atoms():
     dem = Density((0, 10), atoms=[(3.0, 1.0)])
     scen = Scenario(res, StaticDemand(dem), alpha=0.1, horizon=10.0, nt=200)
     assert solve_static(scen).cost == pytest.approx(0.25, rel=1e-12)
-    with pytest.raises(NumericalError, match=r"merged at t=.*float saturation, T/alpha = 100"):
+    with pytest.raises(NumericalError, match=r"merged at t=.*float saturation .*T/alpha = 100\)"):
         solve_general(scen)
+
+
+def test_check_order_names_float_saturation_only_given_alpha():
+    # two atom levels whose gap reaches exactly zero at the last time
+    problems = SimpleNamespace(r0=np.array([1.0, 4.0]),
+                               kinds=[("cell", 0.0, 0.5, 1.0), ("cell", 0.5, 1.0, 4.0)])
+    t = np.array([0.0, 1.0, 2.0])
+    r = np.array([[1.0, 2.0, 3.0], [4.0, 3.0, 3.0]])
+    with pytest.raises(NumericalError, match=r"merged at t=2: their gap is exactly zero$"):
+        _check_order(problems, t, r)
+    with pytest.raises(NumericalError, match=r"merged at t=2: .*float saturation .*T/alpha = 20\)"):
+        _check_order(problems, t, r, alpha=0.1)
+    with pytest.raises(NumericalError, match=r"atom trajectories crossed$"):
+        _check_order(problems, t, r - [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-13]])
 
 
 def _mixed(domain, atom, edges, mass, s=1.0, c=0.0):
