@@ -68,6 +68,36 @@ def segment_endpoints(x, v, grid):
     return lo, hi
 
 
+def refine_rising(x, v, n, knots=()):
+    """Extra breakpoints inside the rising segments of a nondecreasing curve.
+
+    Each segment where ``x`` and ``v`` both increase is cut into
+    ``ceil(dx * n)`` equal pieces, at the points of ``np.linspace``, and each
+    of ``knots`` strictly inside one lands as a duplicated node pair.  Values
+    are re-read from the curve (left limits, right limits on repeated
+    nodes), so flats and jumps keep their nodes.  With nothing to add, or no
+    rising segment, ``(x, v)`` is returned as is.
+    """
+    knots = np.asarray(knots, dtype=float)
+    dx = np.diff(x)
+    rising = (dx > 0) & (np.diff(v) > 0)
+    if not ((n or len(knots)) and np.any(rising)):
+        return x, v
+    pieces = np.maximum(np.ceil(dx * n), 1).astype(int)
+    count = np.where(rising, pieces - 1, 0)
+    k = np.repeat(np.arange(len(dx)), count)  # the segment of each cut
+    j = np.arange(len(k)) - (np.cumsum(count) - count)[k] + 1
+    cuts = j * (dx / pieces)[k] + x[k]
+    k = np.clip(np.searchsorted(x, knots, side="right") - 1, 0, len(x) - 2)
+    inside = knots[rising[k] & (x[k] < knots) & (knots < x[k + 1])]
+    xr = np.sort(np.concatenate([x, cuts, inside, inside]))
+    vr = eval_pw(xr, x, v, side="left")
+    dup = np.zeros(len(xr), bool)
+    dup[1:] = xr[1:] == xr[:-1]
+    vr[dup] = eval_pw(xr[dup], x, v, side="right")
+    return xr, vr
+
+
 def merged_grid(*xs):
     """Strictly increasing union of several breakpoint abscissa arrays."""
     return np.unique(np.concatenate(xs))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import oracle
 from .errors import ConfigError, NumericalError
-from .measures import Density, wasserstein2
+from .measures import Density, quantile_of, wasserstein2
 from .regimes import (SampledDemand, Scenario, StaticDemand,
                       gaussian_mixture_demand, solve_general, solve_periodic,
                       solve_static)
@@ -138,16 +138,6 @@ def _write_summary(outdir, cfg, lines):
     return path
 
 
-def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(SCHEMA_LINE + "\n")
@@ -157,18 +147,23 @@ def _write_csv(path, header, rows):
                              else str(v) for v in row) + "\n")
 
 
-def _timeseries_rows(sol, resource):
+def _state_columns(resource, densities):
+    """Column names and per-slice state of a path's CSV.
+
+    Each atom's position ``pos_i`` while every slice keeps the resource's
+    atoms, otherwise the 19 quantiles ``q_0.05`` ... ``q_0.95``.
+    """
     n_atoms = len(resource.atom_x)
+    if n_atoms and all(len(d.atom_x) == n_atoms for d in densities):
+        return [f"pos_{i}" for i in range(n_atoms)], lambda d: d.atom_x
+    zq = np.linspace(0.05, 0.95, 19)
+    return [f"q_{z:.2f}" for z in zq], lambda d: quantile_of(d)(zq)
+
+
+def _timeseries_rows(sol, resource):
     bd = sol.breakdown
-    header = ["t", "cost_assignment", "cost_motion"]
-    if n_atoms and all(len(d.atom_x) == n_atoms for d in sol.trajectory.densities):
-        header += [f"pos_{i}" for i in range(n_atoms)]
-        state = lambda d: d.atom_x
-    else:
-        zq = np.linspace(0.05, 0.95, 19)
-        header += [f"q_{z:.2f}" for z in zq]
-        from .measures import quantile_of
-        state = lambda d: quantile_of(d)(zq)
+    columns, state = _state_columns(resource, sol.trajectory.densities)
+    header = ["t", "cost_assignment", "cost_motion", *columns]
     rows = []
     for j, t in enumerate(sol.trajectory.t):
         rows.append([t, bd.assignment_t[j], bd.motion_z_t[j], *state(sol.trajectory[j])])
@@ -243,16 +238,9 @@ def _cmd_simulate(args, cfg, outdir):
     nt = int(cfg.get("grid.nt", 1000))
     path = advect_density(resource, v, horizon, nt,
                           save_every=max(1, nt // 200))
-    n_atoms = len(resource.atom_x)
-    if n_atoms:
-        header = ["t"] + [f"pos_{i}" for i in range(n_atoms)]
-        rows = [[t, *d.atom_x] for t, d in zip(path.t, path.densities)]
-    else:
-        from .measures import quantile_of
-        zq = np.linspace(0.05, 0.95, 19)
-        header = ["t"] + [f"q_{z:.2f}" for z in zq]
-        rows = [[t, *quantile_of(d)(zq)] for t, d in zip(path.t, path.densities)]
-    _write_csv(outdir / "timeseries.csv", header, rows)
+    columns, state = _state_columns(resource, path.densities)
+    rows = [[t, *state(d)] for t, d in zip(path.t, path.densities)]
+    _write_csv(outdir / "timeseries.csv", ["t", *columns], rows)
     _write_summary(outdir, cfg, [f"final_mass = {path[-1].mass!r}"])
     print(f"simulated {len(path)} slices")
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-_LOG_SPACE_ARG = 350.0  # switch cosh/sinh ratios to log space beyond this
+_LOG_SPACE_ARG = 350.0  # switch cosh ratios to log space beyond this
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,6 @@ def _log_cosh(x):
     return x + np.log1p(np.exp(-2.0 * x)) - np.log(2.0)
 
 
-def _log_sinh(x):
-    # valid for x > 0
-    return x + np.log1p(-np.exp(-2.0 * x)) - np.log(2.0)
-
-
 def _cosh_ratio(num, den):
     """cosh(num) / cosh(den), safe for large arguments.
 
@@ -69,18 +64,6 @@ def _cosh_ratio(num, den):
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(big, np.exp(_log_cosh(num) - _log_cosh(den)),
                         np.cosh(num) / np.cosh(den))[()]
-
-
-def _sinh_over_cosh(num, den):
-    """sinh(num) / cosh(den) for num >= 0, safe for large arguments; see ``_cosh_ratio``."""
-    num = np.asarray(num, float)
-    den = np.asarray(den, float)
-    big = (np.abs(num) > _LOG_SPACE_ARG) | (np.abs(den) > _LOG_SPACE_ARG)
-    if not np.any(big):
-        return np.sinh(num) / np.cosh(den)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        logged = np.exp(_log_sinh(np.maximum(num, 1e-300)) - _log_cosh(den))
-        return np.where(big, np.where(num > 0, logged, 0.0), np.sinh(num) / np.cosh(den))[()]
 
 
 def riccati(params):

@@ -386,7 +386,7 @@ def pushforward(d, f, nz=2048):
     piecewise-linearized with ``nz`` extra samples.
     """
     q = quantile_of(d)
-    z, x = _refine_increasing(q, nz)
+    z, x = _pwlin.refine_rising(q.z, q.values, nz)
     y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
         raise ValueError("map must be vectorized over positions")
@@ -397,28 +397,6 @@ def pushforward(d, f, nz=2048):
     lo = min(d.domain[0], float(y[0]))
     hi = max(d.domain[1], float(y[-1]))
     return density_from_quantile(QuantileFunction(z, y), domain=(lo, hi))
-
-
-def _refine_increasing(q, nz):
-    """Breakpoints of ``q`` with extra samples inside increasing stretches.
-
-    Flats and duplicated jump nodes are preserved verbatim so the refined
-    arrays still encode atoms and zero-mass gaps exactly.
-    """
-    zs = [q.z[0]]
-    xs = [q.values[0]]
-    for k in range(len(q.z) - 1):
-        z0, z1 = q.z[k], q.z[k + 1]
-        v0, v1 = q.values[k], q.values[k + 1]
-        if z1 > z0 and v1 > v0:
-            n = int(np.ceil((z1 - z0) * nz))
-            for j in range(1, n):
-                w = j / n
-                zs.append(z0 + w * (z1 - z0))
-                xs.append(v0 + w * (v1 - v0))
-        zs.append(z1)
-        xs.append(v1)
-    return np.asarray(zs), np.asarray(xs)
 
 
 def wasserstein2(a, b):

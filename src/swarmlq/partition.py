@@ -53,15 +53,9 @@ class LevelSetPartition:
 
     def singleton_spans(self):
         """Maximal z-intervals occupied by singleton level sets."""
-        spans = []
-        prev = 0.0
-        for z0, z1 in self.cells:
-            if z0 > prev:
-                spans.append((prev, z0))
-            prev = z1
-        if prev < 1.0:
-            spans.append((prev, 1.0))
-        return np.asarray(spans).reshape(-1, 2)
+        lo = np.concatenate([[0.0], self.cells[:, 1]])
+        hi = np.concatenate([self.cells[:, 0], [1.0]])
+        return np.column_stack([lo, hi])[hi > lo]
 
     def to_rows(self):
         """Rows ``(z_lo, z_hi, level, mass)`` for export."""

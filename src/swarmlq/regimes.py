@@ -4,8 +4,13 @@ The solution pipeline is the same in every regime: build the level-set
 partition of the initial resource quantile, average the demand quantile
 against it, solve one scalar tracking problem per partition element, and
 reassemble the percentile trajectories into a spatial velocity field.  The
-static regime collapses to an error-feedback law whose trajectory traverses
-the Wasserstein geodesic toward the nearest reachable density; the periodic
+general and periodic solvers share that setup (``_setup``) and that
+reassembly (``_assemble``).  In between, the scalar problems are arrays
+with one entry per problem: a cell mask, the percentile span ``[z_lo,
+z_hi]`` (one point for a singleton) and a right-limit mask; the
+reassembly nodes point into them through ``node_problem``.  The static
+regime collapses to an error-feedback law whose trajectory traverses the
+Wasserstein geodesic toward the nearest reachable density; the periodic
 regime works in the frequency domain, where the map from reference to
 steady state is a zero-phase second-order low-pass filter with cutoff
 ``1/alpha``.
@@ -165,6 +170,8 @@ class Scenario:
             raise ConfigError("horizon must be positive")
         if self.nt < 2:
             raise ConfigError("nt must be at least 2")
+        if self.n_harmonics < 1:
+            raise ConfigError("n_harmonics must be at least 1")
 
 
 @dataclass
@@ -217,7 +224,10 @@ class OptimalControlSolution:
 class _Problems:
     z_nodes: np.ndarray     # reassembly nodes, nondecreasing with duplicates
     node_problem: np.ndarray  # problem index per node
-    kinds: list             # per problem: ("cell", z0, z1, level) or ("point", z, side)
+    cell: np.ndarray        # per problem: an atom cell, else a singleton point
+    z_lo: np.ndarray        # per problem: cell start, or the point's percentile
+    z_hi: np.ndarray        # per problem: cell end, or the point's percentile
+    right: np.ndarray       # per problem: a point tracking the right limit
     r0: np.ndarray          # per problem initial state
     weights: np.ndarray     # percentile mass per problem (trapezoid for points)
     labels: list
@@ -242,7 +252,7 @@ def _demand_jump_knots(slices, cap=256):
     return np.asarray(sorted(knots))
 
 
-def _problem_structure(q0, refine=0, knots=None):
+def _problem_structure(q0, refine=0, knots=()):
     """Scalar problems generated by the level sets of ``q0``.
 
     One problem per flat (atom) and one per singleton node.  Where a flat
@@ -253,109 +263,48 @@ def _problem_structure(q0, refine=0, knots=None):
     demand jumps; each lands as a duplicated node pair so both one-sided
     limits get their own problem and the reassembled trajectory may split
     there too.
+
+    Each node of the refined curve makes up to three reassembly nodes: a
+    left point where an atom starts after a rise, its own cell or point, and
+    a right point where an atom ends before a rise.  Equal problems are then
+    adjacent: a problem starts wherever the kind or the key (the atom for a
+    cell, the percentile for a point) changes.
     """
-    z_all = q0.z
-    v_all = q0.values
-    if refine or (knots is not None and len(knots)):
-        extra = []
-        for k in range(len(z_all) - 1):
-            dz = z_all[k + 1] - z_all[k]
-            if dz > 0 and v_all[k + 1] > v_all[k]:
-                n = int(np.ceil(dz * refine)) if refine else 1
-                if n > 1:
-                    extra.append(np.linspace(z_all[k], z_all[k + 1], n + 1)[1:-1])
-                if knots is not None:
-                    inside = knots[(knots > z_all[k]) & (knots < z_all[k + 1])]
-                    extra.append(np.repeat(inside, 2))  # one-sided pair
-        if extra:
-            z_all = np.sort(np.concatenate([z_all] + extra), kind="stable")
-            v_all = _pwlin.eval_pw(z_all, q0.z, q0.values, side="left")
-            # re-pin right limits at duplicated nodes
-            dup = np.zeros(len(z_all), bool)
-            dup[1:] = z_all[1:] == z_all[:-1]
-            v_all[dup] = _pwlin.eval_pw(z_all[dup], q0.z, q0.values, side="right")
-
+    LEFT, RIGHT, CELL = 1, 2, 3  # kinds of reassembly node; 0 makes none
+    z, v = _pwlin.refine_rising(q0.z, q0.values, refine, knots)
     flats = q0.flat_intervals
-    nodes = []   # (z, problem_key)
-    kinds = []
-    labels = []
-    r0 = []
-    key_of = {}
+    lo, hi, level = np.vstack([flats, np.full(3, np.nan)]).T  # the pad matches no node
+    f = np.searchsorted(flats[:, 2], v)  # the atom at each node's level, if any
+    in_flat = (v == level[f]) & (lo[f] <= z) & (z <= hi[f])
+    at_lo, at_hi = in_flat & (z == lo[f]), in_flat & (z == hi[f])
+    rise = (np.diff(z) > 0) & (np.diff(v) > 0)  # from node i to node i + 1
+    repeat = np.r_[False, z[1:] == z[:-1]]
+    slots = np.column_stack([
+        np.where(at_lo & np.r_[False, rise], LEFT, 0),
+        np.select([at_lo | at_hi, in_flat, repeat], [CELL, 0, RIGHT], LEFT),
+        np.where(at_hi & np.r_[rise, False], RIGHT, 0)])
+    node = np.nonzero(slots)[0]
+    kind = slots[slots > 0]
+    z_nodes, f_nodes = z[node], f[node]
+    key = np.where(kind == CELL, f_nodes, z_nodes)
+    new = np.r_[True, (kind[1:] != kind[:-1]) | (key[1:] != key[:-1])]
+    node_problem = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    cell, right = kind[first] == CELL, kind[first] == RIGHT
+    fk, zk = f_nodes[first], z_nodes[first]
 
-    def cell_key(c):
-        k = ("cell", c)
-        if k not in key_of:
-            z0, z1, level = flats[c]
-            key_of[k] = len(kinds)
-            kinds.append(("cell", z0, z1, level))
-            labels.append(f"cell{c}")
-            r0.append(level)
-        return key_of[k]
-
-    def point_key(z, side, value):
-        k = ("point", z, side)
-        if k not in key_of:
-            key_of[k] = len(kinds)
-            kinds.append(("point", z, side))
-            labels.append(f"z={z:.6g}{'+' if side == 'right' else '-'}")
-            r0.append(value)
-        return key_of[k]
-
-    fi = 0
-    i = 0
-    n = len(z_all)
-    while i < n:
-        z, v = z_all[i], v_all[i]
-        in_flat = fi < len(flats) and flats[fi][0] <= z <= flats[fi][1] and v == flats[fi][2]
-        if in_flat:
-            z0, z1, _ = flats[fi]
-            if z == z0:
-                # left boundary adjoining an increasing stretch gets a
-                # singleton limit node before the flat takes over
-                if i > 0 and z_all[i - 1] < z0 and v_all[i - 1] < v:
-                    nodes.append((z, point_key(z, "left", v)))
-                nodes.append((z, cell_key(fi)))
-            elif z == z1:
-                nodes.append((z, cell_key(fi)))
-                if i + 1 < n and z_all[i + 1] > z1 and v_all[i + 1] > v:
-                    nodes.append((z, point_key(z, "right", v)))
-                fi += 1
-            i += 1
-            continue
-        side = "right" if (i > 0 and z_all[i - 1] == z) else "left"
-        nodes.append((z, point_key(z, side, v)))
-        i += 1
-
-    z_nodes = np.array([z for z, _ in nodes])
-    node_problem = np.array([k for _, k in nodes], dtype=int)
-
-    weights = np.zeros(len(kinds))
-    for c in range(len(flats)):
-        k = key_of.get(("cell", c))
-        if k is not None:
-            weights[k] = flats[c][1] - flats[c][0]
-    # trapezoid weights over maximal runs of singleton nodes
-    run = []
-    for j, (z, k) in enumerate(nodes):
-        if kinds[node_problem[j]][0] == "point":
-            run.append(j)
-        else:
-            _accumulate_run(run, nodes, node_problem, weights)
-            run = []
-    _accumulate_run(run, nodes, node_problem, weights)
-    return _Problems(z_nodes, node_problem, kinds, np.asarray(r0), weights, labels)
-
-
-def _accumulate_run(run, nodes, node_problem, weights):
-    if len(run) < 2:
-        return
-    zs = np.array([nodes[j][0] for j in run])
-    w = np.zeros(len(run))
-    dz = np.diff(zs)
-    w[:-1] += dz / 2.0
-    w[1:] += dz / 2.0
-    for j, wt in zip(run, w):
-        weights[node_problem[j]] += wt
+    # trapezoid weights over maximal runs of point nodes
+    point = kind != CELL
+    half = np.where(point[:-1] & point[1:], np.diff(z_nodes) / 2.0, 0.0)
+    w = np.zeros(len(node))
+    w[:-1] += half
+    w[1:] += half
+    weights = np.where(cell, hi[fk] - lo[fk],
+                       np.bincount(node_problem[point], w[point], minlength=len(first)))
+    labels = [f"cell{c}" if is_cell else f"z={zc:.6g}{'+' if r else '-'}"
+              for is_cell, c, zc, r in zip(cell, fk, zk, right)]
+    return _Problems(z_nodes, node_problem, cell, np.where(cell, lo[fk], zk),
+                     np.where(cell, hi[fk], zk), right, v[node[first]], weights, labels)
 
 
 def _demand_matrix(problems, slices):
@@ -364,25 +313,18 @@ def _demand_matrix(problems, slices):
     Cell problems take the exact mean of the slice quantile over the cell;
     point problems take the one-sided slice value at their percentile.
     """
-    out = np.empty((len(problems.kinds), len(slices)))
-    ic = np.array([k for k, kind in enumerate(problems.kinds) if kind[0] == "cell"],
-                  dtype=int)
-    cells = np.array([problems.kinds[k][1:3] for k in ic]).reshape(-1, 2)
-    pts_left = [(k, kind[1]) for k, kind in enumerate(problems.kinds)
-                if kind[0] == "point" and kind[2] == "left"]
-    pts_right = [(k, kind[1]) for k, kind in enumerate(problems.kinds)
-                 if kind[0] == "point" and kind[2] == "right"]
-    zl = np.array([z for _, z in pts_left])
-    zr = np.array([z for _, z in pts_right])
-    il = np.array([k for k, _ in pts_left], dtype=int)
-    ir = np.array([k for k, _ in pts_right], dtype=int)
+    out = np.empty((len(problems.r0), len(slices)))
+    cell, right = problems.cell, problems.right
+    left = ~cell & ~right
+    spans = np.column_stack([problems.z_lo[cell], problems.z_hi[cell]])
+    zl, zr = problems.z_lo[left], problems.z_lo[right]
     for j, qd in enumerate(slices):
-        if len(ic):
-            out[ic, j] = cell_means(qd, cells)
-        if len(il):
-            out[il, j] = qd(zl, side="left")
-        if len(ir):
-            out[ir, j] = qd(zr, side="right")
+        if len(spans):
+            out[cell, j] = cell_means(qd, spans)
+        if len(zl):
+            out[left, j] = qd(zl, side="left")
+        if len(zr):
+            out[right, j] = qd(zr, side="right")
     return out
 
 
@@ -396,25 +338,36 @@ def _check_order(problems, t, r, alpha=None):
     rs = r[order]
     if np.any(np.diff(rs, axis=0) < -1e-12):
         raise NumericalError("regimes", "scalar trajectories crossed during reassembly")
-    cells = [k for k, kind in enumerate(problems.kinds) if kind[0] == "cell"]
-    if len(cells) > 1:
-        gap = np.diff(r[cells], axis=0)
-        if np.any(gap < 0):
-            raise NumericalError("regimes", "atom trajectories crossed")
-        merged = np.flatnonzero(np.any(gap == 0, axis=0))
-        if len(merged):
-            msg = f"atom trajectories merged at t={t[merged[0]]:g}: their gap is exactly zero"
-            if alpha is not None:
-                msg += (f"; float saturation is likely when T/alpha >> 1 "
-                        f"(T/alpha = {t[-1] / alpha:g})")
-            raise NumericalError("regimes", msg)
+    gap = np.diff(r[problems.cell], axis=0)  # empty below two atoms
+    if np.any(gap < 0):
+        raise NumericalError("regimes", "atom trajectories crossed")
+    merged = np.flatnonzero(np.any(gap == 0, axis=0))
+    if len(merged):
+        msg = f"atom trajectories merged at t={t[merged[0]]:g}: their gap is exactly zero"
+        if alpha is not None:
+            msg += (f"; float saturation is likely when T/alpha >> 1 "
+                    f"(T/alpha = {t[-1] / alpha:g})")
+        raise NumericalError("regimes", msg)
 
 
-def _assemble(problems, t_grid, r, u):
+def _setup(scenario, t_slices, refine):
+    """Partition, demand slices, scalar problems and their demand matrix."""
+    q0 = quantile_of(scenario.resource)
+    part = build_partition(q0)
+    slices = [scenario.demand.quantile_at(t) for t in t_slices]
+    has_continuum = len(part.singleton_spans()) > 0  # where jump knots can land
+    problems = _problem_structure(
+        q0, refine=refine, knots=_demand_jump_knots(slices) if has_continuum else ())
+    return part, slices, problems, _demand_matrix(problems, slices)
+
+
+def _assemble(problems, t_grid, r, u, field=QuantileReassembledVelocity):
+    """Reassembled ``field`` of the scalar trajectories, and its percentile velocity."""
     Q = r[problems.node_problem].T.copy()
     U = u[problems.node_problem].T.copy()
     Q = np.maximum.accumulate(Q, axis=1)  # deterministic guard, no-op when ordered
-    return QuantileReassembledVelocity(t_grid, problems.z_nodes, Q, U)
+    return (field(t_grid, problems.z_nodes, Q, U),
+            GridQuantileVelocity(problems.z_nodes, t_grid, U))
 
 
 def _densities_from_rows(vel, domain, save_every=1):
@@ -442,14 +395,7 @@ def solve_general(scenario, refine=128, save_every=1):
         raise ConfigError("solve_general needs a finite horizon")
     T, nt, alpha = scenario.horizon, scenario.nt, scenario.alpha
     t_grid = np.linspace(0.0, T, nt + 1)
-    q0 = quantile_of(scenario.resource)
-    part = build_partition(q0)
-    slices = [scenario.demand.quantile_at(t) for t in t_grid]
-    has_continuum = len(part.singleton_spans()) > 0
-    problems = _problem_structure(
-        q0, refine=refine if has_continuum else 0,
-        knots=_demand_jump_knots(slices) if has_continuum else None)
-    d = _demand_matrix(problems, slices)
+    part, slices, problems, d = _setup(scenario, t_grid, refine)
 
     params = lq.LQParams(alpha, T, nt)
     fam = lq.solve_family(params, problems.r0, d)
@@ -457,8 +403,7 @@ def solve_general(scenario, refine=128, save_every=1):
     K = limit_constant_K(t_grid, slices, part)
     cost = float(np.sum(problems.weights * fam.cost) + K)
 
-    vel = _assemble(problems, t_grid, fam.r, fam.u)
-    qvel = GridQuantileVelocity(problems.z_nodes, t_grid, vel.U)
+    vel, qvel = _assemble(problems, t_grid, fam.r, fam.u)
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
     saved = np.searchsorted(t_grid, path.t)  # the path's times are grid times
     breakdown = evaluate_cost(path, vel, [slices[j] for j in saved], alpha, limit=K)
@@ -485,13 +430,7 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         super().__init__(t_nodes, z_nodes, Q, U)
 
     def _row(self, t):
-        phi = lq.transition_r(self.params, t, 0.0)
-        row = phi * self.q0_vals  # in place below: t may be a whole time column
-        row += (1.0 - phi) * self.qbar_vals
-        p = lq.riccati(self.params)(t)
-        u = row - self.qbar_vals
-        u *= -(p / self.params.alpha ** 2)
-        return row, u
+        return _static_rows(self.params, t, self.q0_vals, self.qbar_vals)
 
     def slice_arrays(self, t):
         t = float(t)
@@ -499,6 +438,21 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         if k < len(self.t_nodes) and self.t_nodes[k] == t:
             return self.Q[k], self.U[k]  # equal to ``_row(t)``, stored
         return self._row(t)
+
+
+def _static_rows(params, t, q0, qbar):
+    """Static-regime state ``phi_r q0 + (1 - phi_r) qbar`` and its control.
+
+    The control is ``-(p/alpha^2) (state - qbar)``; ``t`` broadcasts against
+    ``q0`` and ``qbar``, so a time column gives one row per time.
+    """
+    phi = lq.transition_r(params, t, 0.0)
+    row = phi * q0  # in place below: t may be a whole time column
+    row += (1.0 - phi) * qbar
+    p = lq.riccati(params)(t)
+    u = row - qbar
+    u *= -(p / params.alpha ** 2)
+    return row, u
 
 
 def solve_static(scenario, save_every=1):
@@ -533,14 +487,13 @@ def solve_static(scenario, save_every=1):
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
     breakdown = evaluate_cost(path, vel, [qd] * len(path), alpha, limit=K)
 
-    phi = lq.transition_r(params, t_grid, 0.0)
     p_t = lq.riccati(params)(t_grid)
     dbar = cell_means(qd, part.cells)[:, None]
-    r_cells = phi * part.levels[:, None] + (1.0 - phi) * dbar
+    r_cells, u_cells = _static_rows(params, t_grid, part.levels[:, None], dbar)
     d_cells = np.broadcast_to(dbar, r_cells.shape).copy()
     fam = ScalarFamily(
         t_grid, [f"cell{c}" for c in range(part.n_cells)], part.masses,
-        r_cells, -(p_t / alpha ** 2) * (r_cells - dbar), -p_t * dbar, d_cells, p_t,
+        r_cells, u_cells, -p_t * dbar, d_cells, p_t,
         lq.static_cost(params, r_cells[:, 0], dbar[:, 0]),
     )
     return OptimalControlSolution(t_grid, path, vel, qvel, breakdown,
@@ -556,7 +509,7 @@ class PeriodicVelocity(QuantileReassembledVelocity):
         return super().slice_arrays(float(t) % period)
 
 
-def solve_periodic(scenario, n_harmonics=None, refine=128):
+def solve_periodic(scenario, refine=128):
     """Infinite-horizon steady state for a periodic demand.
 
     Per-problem demand samples over one period are filtered harmonic by
@@ -567,26 +520,12 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     floor.  A closed-form warm-up of length ``3 * alpha`` from the initial
     resource is attached; steady-state behavior does not depend on it.
     """
-    demand = scenario.demand
-    if not isinstance(demand, PeriodicDemand):
+    if not isinstance(scenario.demand, PeriodicDemand):
         raise ConfigError("solve_periodic requires a periodic demand")
-    period = demand.period
-    nt = scenario.nt
-    alpha = scenario.alpha
-    if n_harmonics is None:
-        n_harmonics = scenario.n_harmonics
-    if n_harmonics < 1:
-        raise ConfigError("n_harmonics must be at least 1")
-
+    period = scenario.demand.period
+    nt, alpha, n_harmonics = scenario.nt, scenario.alpha, scenario.n_harmonics
     t_samp = np.arange(nt) * (period / nt)
-    q0 = quantile_of(scenario.resource)
-    part = build_partition(q0)
-    slices = [demand.quantile_at(t) for t in t_samp]
-    has_continuum = len(part.singleton_spans()) > 0
-    problems = _problem_structure(
-        q0, refine=refine if has_continuum else 0,
-        knots=_demand_jump_knots(slices) if has_continuum else None)
-    d = _demand_matrix(problems, slices)
+    part, slices, problems, d = _setup(scenario, t_samp, refine)
 
     coef = np.fft.rfft(d, axis=-1) / nt
     k = np.arange(coef.shape[-1])
@@ -613,15 +552,9 @@ def solve_periodic(scenario, n_harmonics=None, refine=128):
     K_avg = limit_constant_K(t_closed, slices_closed, part) / period
     cost = float(np.sum(problems.weights * J) + K_avg)
 
-    r_closed = np.column_stack([r, r[:, 0]])
-    u_closed = np.column_stack([u, u[:, 0]])
-    d_closed = np.column_stack([d, d[:, 0]])
+    r_closed, u_closed, d_closed = (np.column_stack([a, a[:, 0]]) for a in (r, u, d))
     _check_order(problems, t_closed, r_closed)
-    vel = PeriodicVelocity(t_closed, problems.z_nodes,
-                           r_closed[problems.node_problem].T,
-                           u_closed[problems.node_problem].T)
-    qvel = GridQuantileVelocity(problems.z_nodes, t_closed,
-                                u_closed[problems.node_problem].T)
+    vel, qvel = _assemble(problems, t_closed, r_closed, u_closed, PeriodicVelocity)
     path = _densities_from_rows(vel, scenario.resource.domain)
     breakdown = evaluate_cost(path, vel, slices_closed, alpha, limit=K_avg * period,
                               average=True)

@@ -172,6 +172,14 @@ def test_config_errors_exit_2(tmp_path):
                  "--out", str(tmp_path / "r2")]) == 2
 
 
+def test_zero_harmonics_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "p.cfg"
+    cfgfile.write_text(PERIODIC_CFG)
+    assert main(["solve-periodic", "--config", str(cfgfile), "--out", str(tmp_path / "r"),
+                 "--harmonics", "0"]) == 2
+    assert "n_harmonics must be at least 1" in capsys.readouterr().err
+
+
 def test_unknown_command_exits_2():
     assert main(["frobnicate"]) == 2
 

@@ -5,6 +5,7 @@ without the kernels they check, so a shared defect cannot hide.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,6 +273,123 @@ def _ref_average_wrt_partition(qd, p):
     return QuantileFunction(z, v, domain=qd.domain)
 
 
+def _ref_problem_structure(q0, refine=0, knots=None):
+    """Scalar problems by a walk over the nodes, one problem key at a time."""
+    z_all = q0.z
+    v_all = q0.values
+    if refine or (knots is not None and len(knots)):
+        extra = []
+        for k in range(len(z_all) - 1):
+            dz = z_all[k + 1] - z_all[k]
+            if dz > 0 and v_all[k + 1] > v_all[k]:
+                n = int(np.ceil(dz * refine)) if refine else 1
+                if n > 1:
+                    extra.append(np.linspace(z_all[k], z_all[k + 1], n + 1)[1:-1])
+                if knots is not None:
+                    inside = knots[(knots > z_all[k]) & (knots < z_all[k + 1])]
+                    extra.append(np.repeat(inside, 2))  # one-sided pair
+        if extra:
+            z_all = np.sort(np.concatenate([z_all] + extra), kind="stable")
+            v_all = _pwlin.eval_pw(z_all, q0.z, q0.values, side="left")
+            # re-pin right limits at duplicated nodes
+            dup = np.zeros(len(z_all), bool)
+            dup[1:] = z_all[1:] == z_all[:-1]
+            v_all[dup] = _pwlin.eval_pw(z_all[dup], q0.z, q0.values, side="right")
+
+    flats = q0.flat_intervals
+    nodes = []   # (z, problem_key)
+    kinds = []
+    labels = []
+    r0 = []
+    key_of = {}
+
+    def cell_key(c):
+        k = ("cell", c)
+        if k not in key_of:
+            z0, z1, level = flats[c]
+            key_of[k] = len(kinds)
+            kinds.append(("cell", z0, z1, level))
+            labels.append(f"cell{c}")
+            r0.append(level)
+        return key_of[k]
+
+    def point_key(z, side, value):
+        k = ("point", z, side)
+        if k not in key_of:
+            key_of[k] = len(kinds)
+            kinds.append(("point", z, side))
+            labels.append(f"z={z:.6g}{'+' if side == 'right' else '-'}")
+            r0.append(value)
+        return key_of[k]
+
+    fi = 0
+    i = 0
+    n = len(z_all)
+    while i < n:
+        z, v = z_all[i], v_all[i]
+        in_flat = fi < len(flats) and flats[fi][0] <= z <= flats[fi][1] and v == flats[fi][2]
+        if in_flat:
+            z0, z1, _ = flats[fi]
+            if z == z0:
+                if i > 0 and z_all[i - 1] < z0 and v_all[i - 1] < v:
+                    nodes.append((z, point_key(z, "left", v)))
+                nodes.append((z, cell_key(fi)))
+            elif z == z1:
+                nodes.append((z, cell_key(fi)))
+                if i + 1 < n and z_all[i + 1] > z1 and v_all[i + 1] > v:
+                    nodes.append((z, point_key(z, "right", v)))
+                fi += 1
+            i += 1
+            continue
+        side = "right" if (i > 0 and z_all[i - 1] == z) else "left"
+        nodes.append((z, point_key(z, side, v)))
+        i += 1
+
+    z_nodes = np.array([z for z, _ in nodes])
+    node_problem = np.array([k for _, k in nodes], dtype=int)
+
+    weights = np.zeros(len(kinds))
+    for c in range(len(flats)):
+        k = key_of.get(("cell", c))
+        if k is not None:
+            weights[k] = flats[c][1] - flats[c][0]
+    # trapezoid weights over maximal runs of singleton nodes
+    run = []
+    for j, (z, k) in enumerate(nodes):
+        if kinds[node_problem[j]][0] == "point":
+            run.append(j)
+        else:
+            _ref_accumulate_run(run, nodes, node_problem, weights)
+            run = []
+    _ref_accumulate_run(run, nodes, node_problem, weights)
+    return SimpleNamespace(z_nodes=z_nodes, node_problem=node_problem, kinds=kinds,
+                           r0=np.asarray(r0), weights=weights, labels=labels)
+
+
+def _ref_accumulate_run(run, nodes, node_problem, weights):
+    if len(run) < 2:
+        return
+    zs = np.array([nodes[j][0] for j in run])
+    w = np.zeros(len(run))
+    dz = np.diff(zs)
+    w[:-1] += dz / 2.0
+    w[1:] += dz / 2.0
+    for j, wt in zip(run, w):
+        weights[node_problem[j]] += wt
+
+
+def _ref_singleton_spans(p):
+    spans = []
+    prev = 0.0
+    for z0, z1 in p.cells:
+        if z0 > prev:
+            spans.append((prev, z0))
+        prev = z1
+    if prev < 1.0:
+        spans.append((prev, 1.0))
+    return np.asarray(spans).reshape(-1, 2)
+
+
 def _same_density(a, b):
     return (a.domain == b.domain and np.array_equal(a.edges, b.edges)
             and np.array_equal(a.values, b.values) and np.array_equal(a.atom_x, b.atom_x)
@@ -382,6 +500,28 @@ def partitions(draw):
                             max_size=len(cuts) - 1))
     cells = np.column_stack([cuts[:-1], cuts[1:]])[np.asarray(is_cell, bool)]
     return LevelSetPartition(cells, np.arange(len(cells), dtype=float))
+
+
+@st.composite
+def problem_inputs(draw):
+    """A resource quantile, a refinement and sorted demand jump knots.
+
+    Knots fall inside rising segments, some of them on a refinement node
+    (which makes a triple node), and on existing breakpoints.
+    """
+    q = draw(st.one_of(quantiles(), densities().map(quantile_of)))
+    refine = draw(st.sampled_from([0, 3, 16]))
+    z, v = q.z, q.values
+    rising = np.flatnonzero((np.diff(z) > 0) & (np.diff(v) > 0)).tolist()
+    knots = []
+    for k in draw(st.lists(st.sampled_from(rising), max_size=4)) if rising else []:
+        n = int(np.ceil((z[k + 1] - z[k]) * refine))
+        if n > 1 and draw(st.booleans()):
+            knots.append(np.linspace(z[k], z[k + 1], n + 1)[draw(st.integers(1, n - 1))])
+        else:
+            knots.append(z[k] + draw(st.sampled_from([0.25, 0.5, 0.7])) * (z[k + 1] - z[k]))
+    knots += draw(st.lists(st.sampled_from(z.tolist()), max_size=2))
+    return q, refine, np.unique(knots)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +674,6 @@ def test_cosh_ratios_batched_equal_scalar_calls():
     tau = np.maximum(t - 3.0, 0.0)
     batched = lq.transition_r(params, t, tau)
     scalar = np.array([lq.transition_r(params, a, b) for a, b in zip(t, tau)])
-    assert np.array_equal(batched, scalar)
-    num, den = 1000.0 - t, 1000.0 - tau
-    batched = lq._sinh_over_cosh(num, den)
-    scalar = np.array([lq._sinh_over_cosh(a, b) for a, b in zip(num, den)])
     assert np.array_equal(batched, scalar)
 
 
@@ -793,3 +929,28 @@ def test_average_wrt_partition_matches_reference(q, p):
     got, want = average_wrt_partition(q, p), _ref_average_wrt_partition(q, p)
     assert np.array_equal(got.z, want.z) and np.array_equal(got.values, want.values)
     assert got.domain == want.domain
+
+
+@PROPERTY
+@given(problem_inputs())
+def test_problem_structure_matches_loop_reference(case):
+    q, refine, knots = case
+    got = _problem_structure(q, refine=refine, knots=knots)
+    want = _ref_problem_structure(q, refine=refine, knots=knots)
+    for field in ("z_nodes", "node_problem", "r0", "weights"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.labels == want.labels
+    cell = [kind[0] == "cell" for kind in want.kinds]
+    assert np.array_equal(got.cell, cell)
+    assert np.array_equal(got.z_lo, [kind[1] for kind in want.kinds])
+    assert np.array_equal(got.z_hi, [kind[2] if c else kind[1]
+                                     for c, kind in zip(cell, want.kinds)])
+    assert np.array_equal(got.right, [not c and kind[2] == "right"
+                                      for c, kind in zip(cell, want.kinds)])
+
+
+@PROPERTY
+@given(partitions())
+def test_singleton_spans_match_loop_reference(p):
+    got, want = p.singleton_spans(), _ref_singleton_spans(p)
+    assert got.shape == want.shape and np.array_equal(got, want)

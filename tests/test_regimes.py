@@ -154,8 +154,7 @@ def test_general_names_float_saturation_of_merging_atoms():
 
 def test_check_order_names_float_saturation_only_given_alpha():
     # two atom levels whose gap reaches exactly zero at the last time
-    problems = SimpleNamespace(r0=np.array([1.0, 4.0]),
-                               kinds=[("cell", 0.0, 0.5, 1.0), ("cell", 0.5, 1.0, 4.0)])
+    problems = SimpleNamespace(r0=np.array([1.0, 4.0]), cell=np.array([True, True]))
     t = np.array([0.0, 1.0, 2.0])
     r = np.array([[1.0, 2.0, 3.0], [4.0, 3.0, 3.0]])
     with pytest.raises(NumericalError, match=r"merged at t=2: their gap is exactly zero$"):
@@ -424,3 +423,5 @@ def test_scenario_validation():
         Scenario(res, StaticDemand(res), alpha=-1.0, horizon=1.0)
     with pytest.raises(ConfigError):
         Scenario(res, StaticDemand(res), alpha=1.0, horizon=-2.0)
+    with pytest.raises(ConfigError, match="n_harmonics"):
+        Scenario(res, StaticDemand(res), alpha=1.0, horizon=None, n_harmonics=0)
