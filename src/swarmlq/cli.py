@@ -150,11 +150,13 @@ def _write_csv(path, header, rows):
 def _state_columns(resource, densities):
     """Column names and per-slice state of a path's CSV.
 
-    Each atom's position ``pos_i`` while every slice keeps the resource's
-    atoms, otherwise the 19 quantiles ``q_0.05`` ... ``q_0.95``.
+    Each atom's position ``pos_i`` when the resource is atoms only and
+    every slice keeps them, otherwise the 19 quantiles ``q_0.05`` ...
+    ``q_0.95``, so continuous mass always shows.
     """
     n_atoms = len(resource.atom_x)
-    if n_atoms and all(len(d.atom_x) == n_atoms for d in densities):
+    atoms_only = n_atoms and not np.any(resource.values > 0)
+    if atoms_only and all(len(d.atom_x) == n_atoms for d in densities):
         return [f"pos_{i}" for i in range(n_atoms)], lambda d: d.atom_x
     zq = np.linspace(0.05, 0.95, 19)
     return [f"q_{z:.2f}" for z in zq], lambda d: quantile_of(d)(zq)

@@ -3,17 +3,21 @@
 The solution pipeline is the same in every regime: build the level-set
 partition of the initial resource quantile, average the demand quantile
 against it, solve one scalar tracking problem per partition element, and
-reassemble the percentile trajectories into a spatial velocity field.  The
-general and periodic solvers share that setup (``_setup``) and that
-reassembly (``_assemble``).  In between, the scalar problems are arrays
-with one entry per problem: a cell mask, the percentile span ``[z_lo,
-z_hi]`` (one point for a singleton) and a right-limit mask; the
-reassembly nodes point into them through ``node_problem``.  The static
-regime collapses to an error-feedback law whose trajectory traverses the
-Wasserstein geodesic toward the nearest reachable density; the periodic
-regime works in the frequency domain, where the map from reference to
-steady state is a zero-phase second-order low-pass filter with cutoff
-``1/alpha``.
+reassemble the percentile trajectories into a spatial velocity field.  Only
+the scalar-family step differs between the solvers.  The general and
+periodic solvers share one setup (``_setup``) and one order-checked
+reassembly (``_assemble``); all three share one tail (``_finish``), which
+saves the quantile path, costs it against the demand slices and builds the
+solution.  In between, the scalar problems are arrays with one entry per
+problem: a cell mask, the percentile span ``[z_lo, z_hi]`` (one point for a
+singleton) and a right-limit mask; the reassembly nodes point into them
+through ``node_problem``.  The static regime collapses to an error-feedback
+law whose trajectory traverses the Wasserstein geodesic toward the nearest
+reachable density; the periodic regime works in the frequency domain, on
+the closed grid of one period, where the map from reference to steady state
+is a zero-phase second-order low-pass filter with cutoff ``1/alpha``.
+Demand signals keep no per-time cache: each solve queries every grid time
+once.
 """
 
 import logging
@@ -31,6 +35,7 @@ from .transport import (DensityPath, GridQuantileVelocity, QuantilePath,
                         QuantileReassembledVelocity, VelocityField, _time_blend)
 
 MOTION_IDENTITY_TOL = 1e-8
+REFINE = 128  # pieces per unit percentile of the scalar problems' rising stretches
 
 log = logging.getLogger("swarmlq")
 
@@ -39,38 +44,33 @@ log = logging.getLogger("swarmlq")
 # demand signals
 
 class DemandSignal:
-    """Time-indexed demand density with cached quantile slices."""
-
-    def __init__(self):
-        self._cache = {}
+    """Time-indexed demand density; each query builds its quantile slice."""
 
     def density_at(self, t):
         raise NotImplementedError
 
     def quantile_at(self, t):
-        key = float(t)
-        if key not in self._cache:
-            self._cache[key] = quantile_of(self.density_at(t))
-        return self._cache[key]
+        return quantile_of(self.density_at(t))
 
 
 class StaticDemand(DemandSignal):
     def __init__(self, density):
-        super().__init__()
         self.density = density
+        self._quantile = None
 
     def density_at(self, t):
         return self.density
 
     def quantile_at(self, t):
-        return super().quantile_at(0.0)
+        if self._quantile is None:  # one quantile, shared by every time
+            self._quantile = super().quantile_at(0.0)
+        return self._quantile
 
 
 class PeriodicDemand(DemandSignal):
     """Demand given by a rule over one period, repeated for all time."""
 
     def __init__(self, period, rule):
-        super().__init__()
         if period <= 0:
             raise ConfigError("period must be positive")
         self.period = float(period)
@@ -93,7 +93,6 @@ class SampledDemand(DemandSignal):
     """
 
     def __init__(self, times, densities):
-        super().__init__()
         self.times = np.asarray(times, float)
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("sample times must be strictly increasing")
@@ -187,18 +186,15 @@ class CostBreakdown:
 
 
 @dataclass
-class ScalarFamily:
-    """Per-partition-element tracking solutions, for export and inspection."""
+class ScalarFamily(lq.ScalarLQSolution):
+    """Per-partition-element tracking solutions, for export and inspection.
 
-    t: np.ndarray
+    The arrays of ``lq.ScalarLQSolution`` hold one row per problem, ``(B,
+    nt+1)``; ``p`` is shared by the family.
+    """
+
     labels: list           # 'cell k' or 'z=0.123'
     weights: np.ndarray    # percentile mass carried by each problem
-    r: np.ndarray          # (B, nt+1)
-    u: np.ndarray
-    y: np.ndarray
-    d: np.ndarray
-    p: np.ndarray          # shared Riccati samples
-    cost: np.ndarray
 
 
 @dataclass
@@ -350,24 +346,41 @@ def _check_order(problems, t, r, alpha=None):
         raise NumericalError("regimes", msg)
 
 
-def _setup(scenario, t_slices, refine):
+def _setup(scenario, t_slices):
     """Partition, demand slices, scalar problems and their demand matrix."""
     q0 = quantile_of(scenario.resource)
     part = build_partition(q0)
     slices = [scenario.demand.quantile_at(t) for t in t_slices]
     has_continuum = len(part.singleton_spans()) > 0  # where jump knots can land
     problems = _problem_structure(
-        q0, refine=refine, knots=_demand_jump_knots(slices) if has_continuum else ())
+        q0, refine=REFINE, knots=_demand_jump_knots(slices) if has_continuum else ())
     return part, slices, problems, _demand_matrix(problems, slices)
 
 
-def _assemble(problems, t_grid, r, u, field=QuantileReassembledVelocity):
-    """Reassembled ``field`` of the scalar trajectories, and its percentile velocity."""
+def _assemble(problems, t_grid, r, u, alpha=None, field=QuantileReassembledVelocity):
+    """Order-checked scalar trajectories, reassembled into ``field``."""
+    _check_order(problems, t_grid, r, alpha)
     Q = r[problems.node_problem].T.copy()
     U = u[problems.node_problem].T.copy()
     Q = np.maximum.accumulate(Q, axis=1)  # deterministic guard, no-op when ordered
-    return (field(t_grid, problems.z_nodes, Q, U),
-            GridQuantileVelocity(problems.z_nodes, t_grid, U))
+    return field(t_grid, problems.z_nodes, Q, U)
+
+
+def _finish(scenario, t_grid, slices, vel, cost, K, part, family, save_every=1,
+            average=False, **extra):
+    """The solution around ``vel``: its saved path, costed against ``slices``.
+
+    ``slices`` holds the demand quantile at each time of ``t_grid``; ``K``
+    is the floor integral over ``t_grid``.
+    """
+    path = _densities_from_rows(vel, scenario.resource.domain, save_every)
+    saved = np.searchsorted(t_grid, path.t)  # the path's times are grid times
+    breakdown = evaluate_cost(path, vel, [slices[j] for j in saved], scenario.alpha,
+                              average=average)
+    breakdown.limit = K
+    qvel = GridQuantileVelocity(vel.z_nodes, t_grid, vel.U)
+    return OptimalControlSolution(t_grid, path, vel, qvel, breakdown, cost, part,
+                                  family, **extra)
 
 
 def _densities_from_rows(vel, domain, save_every=1):
@@ -381,7 +394,7 @@ def _densities_from_rows(vel, domain, save_every=1):
 # ---------------------------------------------------------------------------
 # solvers
 
-def solve_general(scenario, refine=128, save_every=1):
+def solve_general(scenario, save_every=1):
     """Optimal control for an arbitrary demand signal over a finite horizon.
 
     Builds the partition from the initial resource quantile, averages the
@@ -395,23 +408,14 @@ def solve_general(scenario, refine=128, save_every=1):
         raise ConfigError("solve_general needs a finite horizon")
     T, nt, alpha = scenario.horizon, scenario.nt, scenario.alpha
     t_grid = np.linspace(0.0, T, nt + 1)
-    part, slices, problems, d = _setup(scenario, t_grid, refine)
+    part, slices, problems, d = _setup(scenario, t_grid)
 
-    params = lq.LQParams(alpha, T, nt)
-    fam = lq.solve_family(params, problems.r0, d)
-    _check_order(problems, t_grid, fam.r, alpha)
+    fam = lq.solve_family(lq.LQParams(alpha, T, nt), problems.r0, d)
+    vel = _assemble(problems, t_grid, fam.r, fam.u, alpha)
     K = limit_constant_K(t_grid, slices, part)
     cost = float(np.sum(problems.weights * fam.cost) + K)
-
-    vel, qvel = _assemble(problems, t_grid, fam.r, fam.u)
-    path = _densities_from_rows(vel, scenario.resource.domain, save_every)
-    saved = np.searchsorted(t_grid, path.t)  # the path's times are grid times
-    breakdown = evaluate_cost(path, vel, [slices[j] for j in saved], alpha, limit=K)
-
-    family = ScalarFamily(t_grid, problems.labels, problems.weights,
-                          fam.r, fam.u, fam.y, fam.d, fam.p, fam.cost)
-    return OptimalControlSolution(t_grid, path, vel, qvel, breakdown, cost,
-                                  part, family)
+    family = ScalarFamily(**vars(fam), labels=problems.labels, weights=problems.weights)
+    return _finish(scenario, t_grid, slices, vel, cost, K, part, family, save_every)
 
 
 class StaticOptimalVelocity(QuantileReassembledVelocity):
@@ -477,28 +481,22 @@ def solve_static(scenario, save_every=1):
     z_nodes, V = _pwlin.align([(q0.z, q0.values), (qbar.z, qbar.values)])
     params = lq.LQParams(alpha, T, nt)
     vel = StaticOptimalVelocity(params, z_nodes, V[0], V[1], t_grid)
-    qvel = GridQuantileVelocity(z_nodes, t_grid, vel.U)
 
     w2_reach = float(np.sqrt(max(_pwlin.integral_sq_diff(
         q0.z, q0.values, qbar.z, qbar.values), 0.0)))
     K = T * _pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values)
-    closed = w2_reach ** 2 * alpha * np.tanh(T / alpha) + K
-
-    path = _densities_from_rows(vel, scenario.resource.domain, save_every)
-    breakdown = evaluate_cost(path, vel, [qd] * len(path), alpha, limit=K)
+    closed = float(w2_reach ** 2 * alpha * np.tanh(T / alpha) + K)
 
     p_t = lq.riccati(params)(t_grid)
-    dbar = cell_means(qd, part.cells)[:, None]
+    dbar = qbar(part.cells[:, 0], side="right")[:, None]  # the cell means, on each cell
     r_cells, u_cells = _static_rows(params, t_grid, part.levels[:, None], dbar)
-    d_cells = np.broadcast_to(dbar, r_cells.shape).copy()
-    fam = ScalarFamily(
-        t_grid, [f"cell{c}" for c in range(part.n_cells)], part.masses,
-        r_cells, u_cells, -p_t * dbar, d_cells, p_t,
+    family = ScalarFamily(
+        t_grid, p_t, -p_t * dbar, r_cells, u_cells,
+        np.broadcast_to(dbar, r_cells.shape).copy(),
         lq.static_cost(params, r_cells[:, 0], dbar[:, 0]),
-    )
-    return OptimalControlSolution(t_grid, path, vel, qvel, breakdown,
-                                  float(closed), part, fam,
-                                  closed_form_cost=float(closed))
+        labels=[f"cell{c}" for c in range(part.n_cells)], weights=part.masses)
+    return _finish(scenario, t_grid, [qd] * len(t_grid), vel, closed, K, part, family,
+                   save_every, closed_form_cost=closed)
 
 
 class PeriodicVelocity(QuantileReassembledVelocity):
@@ -509,7 +507,7 @@ class PeriodicVelocity(QuantileReassembledVelocity):
         return super().slice_arrays(float(t) % period)
 
 
-def solve_periodic(scenario, refine=128):
+def solve_periodic(scenario):
     """Infinite-horizon steady state for a periodic demand.
 
     Per-problem demand samples over one period are filtered harmonic by
@@ -524,18 +522,18 @@ def solve_periodic(scenario, refine=128):
         raise ConfigError("solve_periodic requires a periodic demand")
     period = scenario.demand.period
     nt, alpha, n_harmonics = scenario.nt, scenario.alpha, scenario.n_harmonics
-    t_samp = np.arange(nt) * (period / nt)
-    part, slices, problems, d = _setup(scenario, t_samp, refine)
+    t = np.linspace(0.0, period, nt + 1)  # one closed period: slice nt is slice 0
+    part, slices, problems, d = _setup(scenario, t)
 
-    coef = np.fft.rfft(d, axis=-1) / nt
+    coef = np.fft.rfft(d[:, :-1], axis=-1) / nt
     k = np.arange(coef.shape[-1])
     omega = 2.0 * np.pi * k / period
     gain = 1.0 / (alpha ** 2 * omega ** 2 + 1.0)
     keep = k <= n_harmonics
     r_hat = np.where(keep, coef * gain, 0.0)
     u_hat = 1j * omega * r_hat
-    r = np.fft.irfft(r_hat, n=nt) * nt
-    u = np.fft.irfft(u_hat, n=nt) * nt
+    r, u = (np.fft.irfft(a, n=nt) * nt for a in (r_hat, u_hat))
+    r, u = (np.column_stack([a, a[:, 0]]) for a in (r, u))
 
     # average per-problem cost: filtered weight below the cutoff, full
     # tracking residual above it (the truncated trajectory does not move)
@@ -547,27 +545,17 @@ def solve_periodic(scenario, refine=128):
     per_k = np.where(keep, w_sq, 1.0) * mult * np.abs(coef) ** 2
     J = np.sum(per_k, axis=-1)
 
-    t_closed = np.concatenate([t_samp, [period]])
-    slices_closed = slices + [slices[0]]
-    K_avg = limit_constant_K(t_closed, slices_closed, part) / period
-    cost = float(np.sum(problems.weights * J) + K_avg)
+    K = limit_constant_K(t, slices, part)
+    cost = float(np.sum(problems.weights * J) + K / period)
 
-    r_closed, u_closed, d_closed = (np.column_stack([a, a[:, 0]]) for a in (r, u, d))
-    _check_order(problems, t_closed, r_closed)
-    vel, qvel = _assemble(problems, t_closed, r_closed, u_closed, PeriodicVelocity)
-    path = _densities_from_rows(vel, scenario.resource.domain)
-    breakdown = evaluate_cost(path, vel, slices_closed, alpha, limit=K_avg * period,
-                              average=True)
-
-    y = -alpha ** 2 * u_closed - alpha * r_closed
-    family = ScalarFamily(t_closed, problems.labels, problems.weights,
-                          r_closed, u_closed, y, d_closed,
-                          np.full(nt + 1, alpha), J)
+    vel = _assemble(problems, t, r, u, field=PeriodicVelocity)
+    y = -alpha ** 2 * u - alpha * r
+    family = ScalarFamily(t, np.full(nt + 1, alpha), y, r, u, d, J,
+                          labels=problems.labels, weights=problems.weights)
     table = _frequency_table(problems, coef, r_hat, omega, n_harmonics)
-    warm = _warmup_path(scenario, problems, vel)
-    return OptimalControlSolution(t_closed, path, vel, qvel, breakdown, cost,
-                                  part, family, period=period,
-                                  frequency_table=table, warmup=warm)
+    return _finish(scenario, t, slices, vel, cost, K, part, family, average=True,
+                   period=period, frequency_table=table,
+                   warmup=_warmup_path(scenario, problems, vel))
 
 
 def _frequency_table(problems, coef, r_hat, omega, n_harmonics):
@@ -604,7 +592,7 @@ def _warmup_path(scenario, problems, vel, n_steps=200):
 # ---------------------------------------------------------------------------
 # cost evaluation
 
-def evaluate_cost(trajectory, velocity, demand, alpha, limit=None, average=False):
+def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
     """Realized cost of a trajectory/velocity pair against a demand signal.
 
     ``demand`` is a ``DemandSignal`` or the sequence of demand quantiles at
@@ -651,7 +639,7 @@ def evaluate_cost(trajectory, velocity, demand, alpha, limit=None, average=False
         assignment /= span
         motion /= span
     total = assignment + alpha ** 2 * motion
-    return CostBreakdown(assignment, motion, total, limit,
+    return CostBreakdown(assignment, motion, total,
                          t=t, assignment_t=a_t, motion_x_t=mx_t, motion_z_t=mz_t)
 
 

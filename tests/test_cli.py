@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from swarmlq.cli import main, parse_config
@@ -150,6 +151,31 @@ grid.nt = 100
     last = (out / "timeseries.csv").read_text().splitlines()[-1].split(",")
     assert float(last[1]) == pytest.approx(2.0, abs=1e-12)
     assert float(last[2]) == pytest.approx(4.0, abs=1e-12)
+
+
+MIXED_RESOURCE = """
+resource.domain = [0, 10]
+resource.atoms = [[5.0, 0.2]]
+resource.grid.edges = [1.0, 4.0]
+resource.grid.values = [0.26666666666666666]
+resource.normalize = true
+"""
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("solve-static", STATIC_CFG.replace("resource.", "# resource.")),  # its demand only
+    ("simulate", 'velocity.kind = "constant"\nvelocity.c = 0.5\nhorizon = 2.0\n'),
+])
+def test_mixed_resource_writes_quantile_columns(tmp_path, command, rest):
+    # a 0.2 atom at 5 that every slice keeps, plus 0.8 of mass on [1, 4]:
+    # the continuous mass must show, so the state is written as quantiles
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text(MIXED_RESOURCE + rest)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    header = (out / "timeseries.csv").read_text().splitlines()[1].split(",")
+    assert "pos_0" not in header
+    assert header[-19:] == [f"q_{z:.2f}" for z in np.linspace(0.05, 0.95, 19)]
 
 
 def test_verify_command(tmp_path):

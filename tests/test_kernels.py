@@ -1,7 +1,9 @@
 """Array kernels against independent loop references and dense quadrature.
 
 The references here are the per-item loops the kernels replaced, written
-without the kernels they check, so a shared defect cannot hide.
+without the kernels they check, so a shared defect cannot hide.  The W2
+metric is checked against the LP oracle on atom sets, and for the triangle
+inequality.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmlq import (Density, DensityPath, QuantileFunction, QuantilePath, _pwlin, cdf_of,
-                     density_from_quantile, lq, quantile_of, transport)
+                     density_from_quantile, lq, oracle, quantile_of, transport, wasserstein2)
 from swarmlq.partition import (LevelSetPartition, average_wrt_partition, build_partition,
                                cell_means, limit_constant_K)
 from swarmlq.regimes import (SampledDemand, StaticOptimalVelocity, _demand_jump_knots,
@@ -954,3 +956,31 @@ def test_problem_structure_matches_loop_reference(case):
 def test_singleton_spans_match_loop_reference(p):
     got, want = p.singleton_spans(), _ref_singleton_spans(p)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the W2 metric
+
+@st.composite
+def atom_sets(draw):
+    """Up to 8 atoms on distinct points of [0, 10] (none merge), total mass 1."""
+    x = np.asarray(draw(st.lists(st.integers(0, 1000), min_size=1, max_size=8,
+                                 unique=True))) / 100.0
+    m = np.asarray(draw(st.lists(st.floats(0.05, 1.0), min_size=len(x),
+                                 max_size=len(x))))
+    return x, m / m.sum()
+
+
+@PROPERTY
+@given(atom_sets(), atom_sets())
+def test_wasserstein2_squared_matches_lp_oracle(a, b):
+    w = wasserstein2(Density.from_atoms(*a, domain=(-1, 11)),
+                     Density.from_atoms(*b, domain=(-1, 11)))
+    assert abs(w * w - oracle.lp_wasserstein(a, b, method="lp")) <= 1e-9
+
+
+@PROPERTY
+@given(densities(), densities(), densities())
+def test_wasserstein2_triangle_inequality(a, b, c):
+    ab, bc, ac = wasserstein2(a, b), wasserstein2(b, c), wasserstein2(a, c)
+    assert ac <= ab + bc + 1e-12 * (1.0 + ab + bc)

@@ -175,7 +175,12 @@ def _mixed(domain, atom, edges, mass, s=1.0, c=0.0):
 
 def _affine_scenario(kind, s=1.0, c=0.0):
     res = _mixed((0, 80), 16.0, [32.0, 56.0], 0.4, s, c)
-    if kind == "static":
+    if kind == "periodic":
+        demand = PeriodicDemand(2.0, lambda t: _mixed(
+            (0, 80), 24.0 + 4.0 * np.sin(np.pi * t), [40.0 - 2.4 * np.cos(np.pi * t), 64.0],
+            0.3, s, c))
+        return Scenario(res, demand, alpha=0.5, nt=40)
+    if kind in ("static", "closed-form"):
         demand = StaticDemand(_mixed((0, 80), 24.0, [40.0, 64.0], 0.3, s, c))
     else:
         times = np.linspace(0.0, 2.0, 5)
@@ -185,18 +190,40 @@ def _affine_scenario(kind, s=1.0, c=0.0):
     return Scenario(res, demand, alpha=0.5, horizon=2.0, nt=40)
 
 
+def _affine_cost(kind, s=1.0, c=0.0):
+    """``solve_general`` on a static or sampled demand, else the regime's own solver."""
+    scen = _affine_scenario(kind, s, c)
+    if kind == "periodic":
+        return solve_periodic(scen).cost
+    solve = solve_static if kind == "closed-form" else solve_general
+    return solve(scen, save_every=40).cost
+
+
 @functools.cache
 def _affine_base_cost(kind):
-    return solve_general(_affine_scenario(kind), save_every=40).cost
+    return _affine_cost(kind)
 
 
-@pytest.mark.parametrize("kind", ("static", "sampled"))
+@pytest.mark.parametrize("kind", ("static", "sampled", "closed-form", "periodic"))
 @settings(max_examples=25, deadline=None)
 @given(s=st.floats(0.5, 3.0), c=st.floats(-1e6, 1e6))
 def test_general_cost_scales_under_affine_maps(kind, s, c):
     # every cost term is quadratic in positions: x -> s x + c scales it by s^2
-    cost = solve_general(_affine_scenario(kind, s, c), save_every=40).cost
+    cost = _affine_cost(kind, s, c)
     assert cost == pytest.approx(s * s * _affine_base_cost(kind), rel=1e-10)
+
+
+def test_periodic_closes_its_period_exactly():
+    # the closed grid ends on the period, and the last column of each
+    # per-problem array is its first
+    period = 0.7
+    dem = PeriodicDemand(period, lambda t: _mixed(
+        (0, 80), 24.0 + 4.0 * np.sin(2 * np.pi * t / period), [40.0, 64.0], 0.3))
+    res = _mixed((0, 80), 16.0, [32.0, 56.0], 0.4)
+    sol = solve_periodic(Scenario(res, dem, alpha=0.5, nt=40))
+    assert sol.t[-1] == period
+    for a in (sol.family.d, sol.family.r, sol.family.u):
+        assert np.array_equal(a[:, -1], a[:, 0])
 
 
 def test_general_rejects_missing_horizon():
@@ -376,7 +403,7 @@ def test_continuous_resource_two_paths_and_motion_identity():
     dem = Density((0, 10), atoms=[(2.0, 0.5), (7.0, 0.5)])
     scen = Scenario(res, StaticDemand(dem), alpha=1.0, horizon=5.0, nt=300)
     sol_s = solve_static(scen, save_every=30)
-    sol_g = solve_general(scen, save_every=30, refine=64)
+    sol_g = solve_general(scen, save_every=30)
     assert sol_g.cost == pytest.approx(sol_s.cost, rel=2e-4)
     assert sol_g.breakdown.total == pytest.approx(sol_s.breakdown.total, rel=1e-9)
     # initial motion integral has a closed form: p(0)^2 (2/3 + 98/12)
