@@ -126,6 +126,22 @@ def integral_sq_diff(xa, va, xb, vb, lo=None, hi=None):
     return float(out) if out.ndim == 0 else out
 
 
+def integral_sq(x, V):
+    """Exact integral of ``V**2`` over ``[x[0], x[-1]]``, per row of a stack.
+
+    ``V`` holds curves on the shared breakpoints ``x`` (as ``align`` gives
+    them), so each curve is affine between consecutive nodes: a segment of
+    positive length contributes ``dz (v0**2 + v0 v1 + v1**2) / 3`` exactly,
+    and a repeated node only switches to the right limit.  ``take`` keeps
+    the gathered rows C-contiguous, so each row sums exactly as that row
+    alone would.
+    """
+    dz = np.diff(x)
+    seg = np.flatnonzero(dz > 0)
+    v0, v1 = np.take(V, seg, axis=-1), np.take(V, seg + 1, axis=-1)
+    return np.sum(dz[seg] * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0, axis=-1)
+
+
 def integral(x, v, lo, hi):
     """Exact integrals of the curve over the intervals ``[lo[i], hi[i]]``.
 

@@ -121,19 +121,70 @@ def averaged_density(d, p):
     return density_from_quantile(average_wrt_partition(quantile_of(d), p))
 
 
+class DemandStack:
+    """Demand quantiles at a run of times, as blends of a few sample quantiles.
+
+    Slice ``k`` is sample ``j[k]`` where ``w[k] == 0``, and otherwise the
+    displacement blend ``(1 - w[k]) q_j + w[k] q_{j+1}`` of two samples on
+    their aligned breakpoints.  Cell means and the averaging residual are
+    linear in the slice, so they are taken per sample and blended per
+    slice; each sample's partition average against ``p`` is computed once.
+    Only the samples some slice reads are kept.  Without ``j`` and ``w``,
+    ``samples`` are the slices themselves and the stack is degenerate: one
+    sample per distinct slice object, and ``w == 0`` throughout.
+    """
+
+    def __init__(self, samples, p, j=None, w=None):
+        if j is None:
+            index = {}  # first-seen order, as the dict below keeps it
+            j = [index.setdefault(id(q), len(index)) for q in samples]
+            samples = list({id(q): q for q in samples}.values())
+        j = np.asarray(j, int)
+        self.w = np.zeros(len(j)) if w is None else np.asarray(w, float)
+        # sorted, so a bracket's two samples stay adjacent
+        used = np.unique(np.concatenate([j, j[self.w != 0] + 1]))
+        self.j = np.searchsorted(used, j)
+        self.samples = [samples[i] for i in used]
+        self.averages = [average_wrt_partition(q, p) for q in self.samples]
+
+    def blend(self, cols):
+        """Per-slice columns from per-sample ones: ``(1 - w) c_j + w c_{j+1}``.
+
+        A slice at a sample takes that sample's column as it is.  ``take``
+        keeps the result C-contiguous, as a matrix filled column by column
+        would be, so reductions along its rows sum in the same order.
+        """
+        out = np.take(cols, self.j, axis=-1)
+        mid = np.flatnonzero(self.w != 0)
+        w, nxt = self.w[mid], np.take(cols, self.j[mid] + 1, axis=-1)
+        out[..., mid] = (1.0 - w) * out[..., mid] + w * nxt
+        return out
+
+
 def limit_constant_K(t_grid, qd_slices, p):
     """Tracking-cost floor: time integral of the squared averaging residual.
 
-    ``qd_slices`` holds the demand quantile at each time in ``t_grid``.
-    The z-integral per slice is exact; the time integral uses the trapezoid
-    rule on the given grid.  Zero exactly when every slice is already
-    partition-piecewise-constant.
+    ``qd_slices`` holds the demand quantile at each time in ``t_grid``, as
+    a ``DemandStack`` (averaged against its own partition) or as a plain
+    list of slices, the degenerate stack against ``p``.  A slice at a
+    sample takes the sample's residual integral.  The slices strictly
+    inside a bracket integrate the blended residual ``(1 - w) (q_j -
+    qbar_j) + w (q_{j+1} - qbar_{j+1})`` as one stack, on one alignment of
+    the four curves.  The z-integrals are exact; the time integral uses the
+    trapezoid rule on the given grid.  Zero exactly when every slice is
+    already partition-piecewise-constant.
     """
     t_grid = np.asarray(t_grid, float)
-    residues = np.empty(len(t_grid))
-    for j, qd in enumerate(qd_slices):
-        qbar = average_wrt_partition(qd, p)
-        residues[j] = _pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values)
+    s = qd_slices if isinstance(qd_slices, DemandStack) else DemandStack(qd_slices, p)
+    residues = np.array([_pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values)
+                         for qd, qbar in zip(s.samples, s.averages)])[s.j]
+    inside = s.w != 0
+    for i in np.unique(s.j[inside]):
+        k = np.flatnonzero(inside & (s.j == i))
+        curves = (s.samples[i], s.averages[i], s.samples[i + 1], s.averages[i + 1])
+        z, V = _pwlin.align([(c.z, c.values) for c in curves])
+        w = s.w[k, None]
+        residues[k] = _pwlin.integral_sq(z, (1.0 - w) * (V[0] - V[1]) + w * (V[2] - V[3]))
     if len(t_grid) == 1:
         return float(residues[0])
     return float(np.trapezoid(residues, t_grid))

@@ -11,13 +11,15 @@ saves the quantile path, costs it against the demand slices and builds the
 solution.  In between, the scalar problems are arrays with one entry per
 problem: a cell mask, the percentile span ``[z_lo, z_hi]`` (one point for a
 singleton) and a right-limit mask; the reassembly nodes point into them
-through ``node_problem``.  The static regime collapses to an error-feedback
-law whose trajectory traverses the Wasserstein geodesic toward the nearest
-reachable density; the periodic regime works in the frequency domain, on
-the closed grid of one period, where the map from reference to steady state
-is a zero-phase second-order low-pass filter with cutoff ``1/alpha``.
+through ``node_problem``.  Their demand matrix and the floor ``K`` come
+from a ``DemandStack``: work per demand sample, blended per slice.  The
+static regime collapses to an error-feedback law whose trajectory
+traverses the Wasserstein geodesic toward the nearest reachable density;
+the periodic regime works in the frequency domain, on the closed grid of
+one period, where the map from reference to steady state is a zero-phase
+second-order low-pass filter with cutoff ``1/alpha``.
 Demand signals keep no per-time cache: each solve queries every grid time
-once.
+once, except that the periodic solver reuses slice 0 at ``t = P``.
 """
 
 import logging
@@ -29,8 +31,8 @@ from . import _pwlin, lq
 from .errors import ConfigError, NumericalError
 from .measures import (Density, QuantileFunction, density_from_quantile,
                        quantile_of)
-from .partition import (LevelSetPartition, average_wrt_partition,
-                        build_partition, cell_means, limit_constant_K)
+from .partition import (DemandStack, LevelSetPartition, average_wrt_partition,
+                        build_partition, limit_constant_K)
 from .transport import (DensityPath, GridQuantileVelocity, QuantilePath,
                         QuantileReassembledVelocity, VelocityField, _time_blend)
 
@@ -89,11 +91,14 @@ class SampledDemand(DemandSignal):
     Between samples the quantile is the convex combination of the two
     bracketing quantiles (displacement interpolation), which keeps every
     intermediate slice a valid density.  Each bracket's pair of quantiles
-    is aligned on shared breakpoints once, on first use.
+    is aligned on shared breakpoints once, on first use.  One sample is a
+    demand constant in time.
     """
 
     def __init__(self, times, densities):
         self.times = np.asarray(times, float)
+        if self.times.ndim != 1 or len(self.times) == 0:
+            raise ConfigError("a sampled demand needs a 1-D sequence of sample times")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("sample times must be strictly increasing")
         if len(densities) != len(self.times):
@@ -105,15 +110,28 @@ class SampledDemand(DemandSignal):
     def density_at(self, t):
         return density_from_quantile(self.quantile_at(t))
 
-    def quantile_at(self, t):
-        t = float(np.clip(t, self.times[0], self.times[-1]))
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), len(self.times) - 2)
+    def bracket(self, t):
+        """Sample index ``j`` and blend weight ``w`` at each of the times ``t``.
+
+        The slice at ``t`` is ``(1 - w) q_j + w q_{j+1}``; ``w == 0`` means it
+        is sample ``j`` itself, and a weight that reaches 1 maps to sample
+        ``j + 1`` with ``w == 0``.  Times outside the sample range clip to
+        its ends.
+        """
+        t = np.clip(np.asarray(t, float), self.times[0], self.times[-1])
+        last = len(self.times) - 1
+        if last == 0:
+            return np.zeros(t.shape, int), np.zeros(t.shape)
+        j = np.clip(self.times.searchsorted(t, side="right") - 1, 0, last - 1)
         w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
+        at_next = w == 1.0
+        return j + at_next, np.where(at_next, 0.0, w)
+
+    def quantile_at(self, t):
+        j, w = self.bracket(t)
+        j, w = int(j), float(w)
         if w == 0.0:
             return self._slices[j]
-        if w == 1.0:
-            return self._slices[j + 1]
         if j not in self._brackets:
             qa, qb = self._slices[j], self._slices[j + 1]
             self._brackets[j] = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
@@ -303,25 +321,27 @@ def _problem_structure(q0, refine=0, knots=()):
                      np.where(cell, hi[fk], zk), right, v[node[first]], weights, labels)
 
 
-def _demand_matrix(problems, slices):
-    """Per-problem demand samples, one column per time slice.
+def _demand_matrix(problems, stack):
+    """Per-problem demand samples, one column per time slice of ``stack``.
 
-    Cell problems take the exact mean of the slice quantile over the cell;
-    point problems take the one-sided slice value at their percentile.
+    Cell problems take the exact mean of the slice quantile over the cell,
+    which the partition average holds as its right limit at the cell start;
+    point problems take the one-sided slice value at their percentile.  Both
+    are linear in the slice, so one column per sample of the ``DemandStack``
+    is blended per slice.  A plain list of slices is the degenerate stack,
+    averaged against the problems' own cells.
     """
-    out = np.empty((len(problems.r0), len(slices)))
     cell, right = problems.cell, problems.right
     left = ~cell & ~right
-    spans = np.column_stack([problems.z_lo[cell], problems.z_hi[cell]])
-    zl, zr = problems.z_lo[left], problems.z_lo[right]
-    for j, qd in enumerate(slices):
-        if len(spans):
-            out[cell, j] = cell_means(qd, spans)
-        if len(zl):
-            out[left, j] = qd(zl, side="left")
-        if len(zr):
-            out[right, j] = qd(zr, side="right")
-    return out
+    if not isinstance(stack, DemandStack):
+        cells = np.column_stack([problems.z_lo[cell], problems.z_hi[cell]])
+        stack = DemandStack(stack, LevelSetPartition(cells, problems.r0[cell]))
+    cols = np.empty((len(problems.r0), len(stack.samples)))
+    for k, (qd, qbar) in enumerate(zip(stack.samples, stack.averages)):
+        cols[cell, k] = qbar(problems.z_lo[cell], side="right")
+        cols[left, k] = qd(problems.z_lo[left], side="left")
+        cols[right, k] = qd(problems.z_lo[right], side="right")
+    return stack.blend(cols)
 
 
 def _check_order(problems, t, r, alpha=None):
@@ -346,15 +366,24 @@ def _check_order(problems, t, r, alpha=None):
         raise NumericalError("regimes", msg)
 
 
-def _setup(scenario, t_slices):
-    """Partition, demand slices, scalar problems and their demand matrix."""
+def _setup(scenario, t_grid, slices):
+    """Partition, demand stack, scalar problems and their demand matrix.
+
+    ``slices`` holds the demand quantile at each time of ``t_grid``.  A
+    sampled demand's slices are blends of its samples, and its stack says
+    which; any other demand's stack is its own slices.
+    """
     q0 = quantile_of(scenario.resource)
     part = build_partition(q0)
-    slices = [scenario.demand.quantile_at(t) for t in t_slices]
+    demand = scenario.demand
+    if isinstance(demand, SampledDemand):
+        stack = DemandStack(demand._slices, part, *demand.bracket(t_grid))
+    else:
+        stack = DemandStack(slices, part)
     has_continuum = len(part.singleton_spans()) > 0  # where jump knots can land
     problems = _problem_structure(
         q0, refine=REFINE, knots=_demand_jump_knots(slices) if has_continuum else ())
-    return part, slices, problems, _demand_matrix(problems, slices)
+    return part, stack, problems, _demand_matrix(problems, stack)
 
 
 def _assemble(problems, t_grid, r, u, alpha=None, field=QuantileReassembledVelocity):
@@ -408,11 +437,12 @@ def solve_general(scenario, save_every=1):
         raise ConfigError("solve_general needs a finite horizon")
     T, nt, alpha = scenario.horizon, scenario.nt, scenario.alpha
     t_grid = np.linspace(0.0, T, nt + 1)
-    part, slices, problems, d = _setup(scenario, t_grid)
+    slices = [scenario.demand.quantile_at(t) for t in t_grid]
+    part, stack, problems, d = _setup(scenario, t_grid, slices)
 
     fam = lq.solve_family(lq.LQParams(alpha, T, nt), problems.r0, d)
     vel = _assemble(problems, t_grid, fam.r, fam.u, alpha)
-    K = limit_constant_K(t_grid, slices, part)
+    K = limit_constant_K(t_grid, stack, part)
     cost = float(np.sum(problems.weights * fam.cost) + K)
     family = ScalarFamily(**vars(fam), labels=problems.labels, weights=problems.weights)
     return _finish(scenario, t_grid, slices, vel, cost, K, part, family, save_every)
@@ -523,7 +553,9 @@ def solve_periodic(scenario):
     period = scenario.demand.period
     nt, alpha, n_harmonics = scenario.nt, scenario.alpha, scenario.n_harmonics
     t = np.linspace(0.0, period, nt + 1)  # one closed period: slice nt is slice 0
-    part, slices, problems, d = _setup(scenario, t)
+    slices = [scenario.demand.quantile_at(tk) for tk in t[:-1]]
+    slices.append(slices[0])
+    part, stack, problems, d = _setup(scenario, t, slices)
 
     coef = np.fft.rfft(d[:, :-1], axis=-1) / nt
     k = np.arange(coef.shape[-1])
@@ -545,7 +577,7 @@ def solve_periodic(scenario):
     per_k = np.where(keep, w_sq, 1.0) * mult * np.abs(coef) ** 2
     J = np.sum(per_k, axis=-1)
 
-    K = limit_constant_K(t, slices, part)
+    K = limit_constant_K(t, stack, part)
     cost = float(np.sum(problems.weights * J) + K / period)
 
     vel = _assemble(problems, t, r, u, field=PeriodicVelocity)
@@ -619,7 +651,7 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
         quantile = quantiles.__getitem__
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
         U = np.vstack([velocity.slice_arrays(tj)[1] for tj in t])
-        mz_t = _motion_z_rows(velocity.z_nodes, U)
+        mz_t = _pwlin.integral_sq(velocity.z_nodes, U)
     else:
         mz_t = np.array([_motion_z(quantile(j), velocity, t[j]) for j in range(n)])
     mx_t = np.empty(n)
@@ -702,7 +734,7 @@ def _motion_z(qr, velocity, t):
     slice quantile and integrated with interior Gauss nodes.
     """
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
-        return float(_motion_z_rows(velocity.z_nodes, velocity.slice_arrays(t)[1]))
+        return float(_pwlin.integral_sq(velocity.z_nodes, velocity.slice_arrays(t)[1]))
     z = qr.z
     x_nodes = qr.values
     dz = np.diff(z)
@@ -712,15 +744,3 @@ def _motion_z(qr, velocity, t):
     g2 = np.asarray(velocity(_pwlin.eval_pw(mid_z + _GAUSS_OFFSET * dz, z, x_nodes,
                                             side="left"), t)) ** 2
     return float(np.sum(0.5 * dz * (g1 + g2)))
-
-
-def _motion_z_rows(z_nodes, U):
-    """``int U^2 dz`` over [0, 1] for each row of ``U`` on the nodes ``z_nodes``.
-
-    ``take`` keeps the gathered rows C-contiguous, so each row sums exactly
-    as a single row alone would.
-    """
-    dz = np.diff(z_nodes)
-    seg = np.flatnonzero(dz > 0)
-    u0, u1 = np.take(U, seg, axis=-1), np.take(U, seg + 1, axis=-1)
-    return np.sum(dz[seg] * (u0 * u0 + u0 * u1 + u1 * u1) / 3.0, axis=-1)

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from swarmlq import (Density, DensityPath, QuantileFunction, QuantilePath, _pwlin, cdf_of,
                      density_from_quantile, lq, oracle, quantile_of, transport, wasserstein2)
-from swarmlq.partition import (LevelSetPartition, average_wrt_partition, build_partition,
-                               cell_means, limit_constant_K)
+from swarmlq.measures import densities_l1_distance
+from swarmlq.partition import (DemandStack, LevelSetPartition, average_wrt_partition,
+                               build_partition, cell_means, limit_constant_K)
 from swarmlq.regimes import (SampledDemand, StaticOptimalVelocity, _demand_jump_knots,
                              _demand_matrix, _densities_from_rows, _motion_x, _motion_z,
-                             _motion_z_rows, _problem_structure, evaluate_cost,
-                             solve_general, solve_static)
+                             _problem_structure, evaluate_cost, solve_general, solve_static)
 from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
 
 from helpers import random_scenario, reference_static_scenario
@@ -204,6 +204,31 @@ def _ref_sampled_quantile(times, densities, t):
         return qb
     z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
     return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
+
+
+def _ref_demand_matrix(problems, slices):
+    """Demand columns slice by slice: each slice's cell means and one-sided points."""
+    out = np.empty((len(problems.r0), len(slices)))
+    cell, right = problems.cell, problems.right
+    left = ~cell & ~right
+    spans = np.column_stack([problems.z_lo[cell], problems.z_hi[cell]])
+    for j, qd in enumerate(slices):
+        if len(spans):
+            out[cell, j] = cell_means(qd, spans)
+        if np.any(left):
+            out[left, j] = qd(problems.z_lo[left], side="left")
+        if np.any(right):
+            out[right, j] = qd(problems.z_lo[right], side="right")
+    return out
+
+
+def _ref_limit_constant_K(t_grid, slices, p):
+    """Each slice's residual against its own partition average, trapezoid in time."""
+    residues = []
+    for qd in slices:
+        qbar = average_wrt_partition(qd, p)
+        residues.append(_pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values))
+    return float(np.trapezoid(residues, t_grid))
 
 
 def _ref_eval_pw(xq, x, v, side):
@@ -526,6 +551,28 @@ def problem_inputs(draw):
     return q, refine, np.unique(knots)
 
 
+@st.composite
+def sampled_setups(draw):
+    """Scalar problems of a resource, a sampled demand and a grid inside or past it.
+
+    The problems are refined or not, with the demand's jump knots where the
+    resource has a continuum; the horizon ends before, at or after the last
+    sample.
+    """
+    q0 = quantile_of(draw(densities()))
+    dens = draw(st.lists(densities(), min_size=2, max_size=4))
+    gaps = draw(st.lists(st.floats(0.25, 2.0), min_size=len(dens) - 1,
+                         max_size=len(dens) - 1))
+    demand = SampledDemand(np.concatenate([[0.0], np.cumsum(gaps)]), dens)
+    T = demand.times[-1] * draw(st.sampled_from([0.3, 0.5, 1.0, 1.6]))
+    t = np.linspace(0.0, T, draw(st.integers(2, 30)) + 1)
+    slices = [demand.quantile_at(tk) for tk in t]
+    p = build_partition(q0)
+    knots = _demand_jump_knots(slices) if len(p.singleton_spans()) else ()
+    problems = _problem_structure(q0, refine=draw(st.sampled_from([0, 16])), knots=knots)
+    return demand, t, slices, p, problems
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -588,33 +635,116 @@ def test_align_matches_loop_reference(a, b):
     assert np.array_equal(V, V_want)
 
 
-def test_demand_matrix_and_K_at_large_domain_offset():
+def _offset_demand_matrix_and_K(shift, sampled):
+    """Demand matrix and ``K`` of one problem, with every abscissa moved by ``shift``.
+
+    The demand is five slices, or, ``sampled``, a sampled demand on those
+    five densities read on a grid three times finer, past its last sample.
+    """
     # breakpoints on a binary grid, so the shift by 1e9 is exact in floats;
     # light atoms make short cells, where a cancelling mean would show
-    offset = 1e9
     edges = np.linspace(0.0, 1000.0, 17)
+    domain = (shift - 100.0, shift + 1100.0)
+    resource = Density(domain, atoms=[(shift + 150.0, 0.01), (shift + 625.0, 0.005)],
+                       edges=shift + edges[4:13], values=np.full(8, 0.985 / 500.0))
+    dens = []
+    for k in range(5):
+        vals = np.random.default_rng(100 + k).uniform(0.0, 1.0, 16)
+        dens.append(Density(domain, atoms=[(shift + 300.0 + 50.0 * k, 0.2)],
+                            edges=shift + edges, values=vals, normalize=True))
+    q0 = quantile_of(resource)
+    p = build_partition(q0)
+    problems = _problem_structure(q0, refine=16, knots=np.array([0.5]))
+    if sampled:
+        demand = SampledDemand(np.arange(5.0), dens)
+        t = np.linspace(0.0, 4.5, 15)
+        slices = DemandStack(demand._slices, p, *demand.bracket(t))
+    else:
+        t = np.linspace(0.0, 1.0, 5)
+        slices = [quantile_of(d) for d in dens]
+    return _demand_matrix(problems, slices), limit_constant_K(t, slices, p)
 
-    def problem(shift):
-        domain = (shift - 100.0, shift + 1100.0)
-        resource = Density(domain, atoms=[(shift + 150.0, 0.01), (shift + 625.0, 0.005)],
-                           edges=shift + edges[4:13], values=np.full(8, 0.985 / 500.0))
-        slices = []
-        for k in range(5):
-            vals = np.random.default_rng(100 + k).uniform(0.0, 1.0, 16)
-            d = Density(domain, atoms=[(shift + 300.0 + 50.0 * k, 0.2)],
-                        edges=shift + edges, values=vals, normalize=True)
-            slices.append(quantile_of(d))
-        q0 = quantile_of(resource)
-        problems = _problem_structure(q0, refine=16, knots=np.array([0.5]))
-        t = np.linspace(0.0, 1.0, len(slices))
-        return (_demand_matrix(problems, slices),
-                limit_constant_K(t, slices, build_partition(q0)))
 
-    d0, K0 = problem(0.0)
-    d1, K1 = problem(offset)
+def _check_demand_matrix_and_K_at_large_domain_offset(sampled):
+    offset = 1e9
+    d0, K0 = _offset_demand_matrix_and_K(0.0, sampled)
+    d1, K1 = _offset_demand_matrix_and_K(offset, sampled)
     assert K0 > 0
     assert K1 == pytest.approx(K0, rel=1e-8)
     assert np.max(np.abs((d1 - offset) - d0)) <= 1e-15 * offset
+
+
+def test_demand_matrix_and_K_at_large_domain_offset():
+    _check_demand_matrix_and_K_at_large_domain_offset(sampled=False)
+
+
+def test_sampled_demand_matrix_and_K_at_large_domain_offset():
+    _check_demand_matrix_and_K_at_large_domain_offset(sampled=True)
+
+
+@PROPERTY
+@given(sampled_setups())
+def test_demand_stack_matches_per_slice_references(case):
+    demand, t, slices, p, problems = case
+    d_want = _ref_demand_matrix(problems, slices)
+    K_want = _ref_limit_constant_K(t, slices, p)
+    tol = 4 * np.spacing(max(1.0, np.max(np.abs(d_want))))
+    # a plain list of slices is the degenerate stack: the same arithmetic,
+    # except that a cell reads the mean its partition average holds, which
+    # the quantile's monotone guard lifts where it rounded below the value
+    # just before the cell
+    d_plain = _demand_matrix(problems, slices)
+    cell = problems.cell
+    assert np.array_equal(d_plain[~cell], d_want[~cell])
+    lift = d_plain[cell] - d_want[cell]
+    assert np.all((lift >= 0) & (lift <= tol))
+    assert limit_constant_K(t, slices, p) == K_want
+    # per-sample columns and residuals, blended per slice: rounding only
+    stack = DemandStack(demand._slices, p, *demand.bracket(t))
+    assert np.max(np.abs(_demand_matrix(problems, stack) - d_want)) <= tol
+    q_max = max(np.max(np.abs(q.values)) for q in demand._slices)
+    assert abs(limit_constant_K(t, stack, p) - K_want) <= 1e-15 * t[-1] * max(1.0, q_max) ** 2
+
+
+@PROPERTY
+@given(st.lists(densities(), min_size=1, max_size=4), st.data())
+def test_bracket_blends_equal_quantile_at(dens, data):
+    gaps = data.draw(st.lists(st.floats(0.25, 2.0), min_size=len(dens) - 1,
+                              max_size=len(dens) - 1))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    demand = SampledDemand(times, dens)
+    inside = data.draw(st.lists(st.floats(0.0, float(times[-1])), max_size=6))
+    # at the samples, one ulp either side of them, between them and outside
+    ts = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+                         inside, [times[0] - 1.0, times[-1] + 1.0]])
+    j, w = demand.bracket(ts)
+    assert np.all((0.0 <= w) & (w < 1.0))
+    assert np.all(j[w > 0] < len(times) - 1)
+    for tk, jk, wk in zip(ts, j, w):
+        got = demand.quantile_at(tk)
+        qa = quantile_of(dens[jk])
+        if wk == 0.0:
+            want = qa
+        else:
+            qb = quantile_of(dens[jk + 1])
+            z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+            want = QuantileFunction(z, (1.0 - wk) * V[0] + wk * V[1])
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.values, want.values)
+
+
+@PROPERTY
+@given(densities())
+def test_density_quantile_density_round_trip(d):
+    assert densities_l1_distance(density_from_quantile(quantile_of(d)), d) < 1e-12
+
+
+@PROPERTY
+@given(quantiles())
+def test_quantile_density_quantile_round_trip(q):
+    back = quantile_of(density_from_quantile(q))
+    err = _pwlin.integral_sq_diff(q.z, q.values, back.z, back.values)
+    assert err <= 1e-13 * max(1.0, np.max(np.abs(q.values))) ** 2
 
 
 @PROPERTY
@@ -795,7 +925,7 @@ def test_stacked_motion_term_equals_per_slice_calls(seed, n, m):
     Q = np.sort(rng.uniform(0.0, 10.0, (m, n)), axis=-1)
     vel = QuantileReassembledVelocity(t_nodes, z, Q, rng.normal(size=(m, n)))
     ts = np.concatenate([t_nodes, rng.uniform(t_nodes[0], t_nodes[-1], 3)])
-    got = _motion_z_rows(vel.z_nodes, np.vstack([vel.slice_arrays(t)[1] for t in ts]))
+    got = _pwlin.integral_sq(vel.z_nodes, np.vstack([vel.slice_arrays(t)[1] for t in ts]))
     for g, t in zip(got, ts):
         q = QuantileFunction(z, vel.slice_arrays(t)[0])
         assert g == _motion_z(q, vel, t) == _ref_motion_z_row(z, vel.slice_arrays(t)[1])

@@ -444,6 +444,36 @@ def test_sampled_demand_interpolates_geodesically():
     assert np.allclose(mid.atom_x, [4.0])
 
 
+def test_one_sample_demand_is_constant():
+    d = Density((0, 10), atoms=[(3.0, 0.5), (6.0, 0.5)])
+    dem = SampledDemand([0.0], [d])
+    want = quantile_of(d)
+    for t in (-1.0, 0.0, 0.5, 10.0):
+        q = dem.quantile_at(t)
+        assert np.array_equal(q.z, want.z)
+        assert np.array_equal(q.values, want.values)
+    res = Density((0, 10), atoms=[(1.0, 0.4), (4.0, 0.6)])
+    sol_g = solve_general(Scenario(res, dem, alpha=0.5, horizon=10.0, nt=200), save_every=50)
+    sol_s = solve_static(Scenario(res, StaticDemand(d), alpha=0.5, horizon=10.0, nt=200),
+                         save_every=50)
+    assert sol_g.cost == pytest.approx(sol_s.cost, rel=1e-9)
+    with pytest.raises(ConfigError):
+        SampledDemand([], [])
+
+
+def test_periodic_solve_builds_each_phase_once():
+    # the closed grid's last time is the first one a period later
+    phases = []
+
+    def rule(t):
+        phases.append(t)
+        return Density((-1, 9), atoms=[(2.0 + 0.3 * np.sin(2 * np.pi * t), 0.5), (6.0, 0.5)])
+
+    res = Density((-1, 9), atoms=[(0.0, 0.5), (4.0, 0.5)])
+    solve_periodic(Scenario(res, PeriodicDemand(1.0, rule), alpha=0.25, horizon=None, nt=64))
+    assert phases == list(np.linspace(0.0, 1.0, 65)[:-1])
+
+
 def test_scenario_validation():
     res = Density((0, 10), atoms=[(2.0, 1.0)])
     with pytest.raises(ConfigError):
