@@ -69,7 +69,7 @@ def _marginal(rows, domain):
     cells.sort()
     edges, values = [], []
     for a, b, v in cells:
-        if edges and a < edges[-1] - 1e-15:
+        if edges and a < edges[-1] - 1e-15 * max(1.0, abs(a)):  # rounding, at any offset
             raise ValueError("comonotone plan has overlapping ramps")
         if not edges:
             edges.append(a)

@@ -10,6 +10,7 @@ the tracking cost.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,31 +127,65 @@ class DemandStack:
 
     Slice ``k`` is sample ``j[k]`` where ``w[k] == 0``, and otherwise the
     displacement blend ``(1 - w[k]) q_j + w[k] q_{j+1}`` of two samples on
-    their aligned breakpoints.  Cell means and the averaging residual are
-    linear in the slice, so they are taken per sample and blended per
-    slice; each sample's partition average against ``p`` is computed once.
-    Only the samples some slice reads are kept.  Without ``j`` and ``w``,
-    ``samples`` are the slices themselves and the stack is degenerate: one
-    sample per distinct slice object, and ``w == 0`` throughout.
+    their aligned breakpoints (``bracket``).  Cell means, the averaging
+    residual and the distance to another quantile on shared nodes are linear
+    or quadratic in the slice, so they are taken per sample, or per bracket
+    in one stack.  Each sample's partition average against ``p`` is taken
+    once, when ``averages`` is first read; a stack that is only costed
+    needs no partition.  Only the samples some slice reads are kept.
+    Without ``j`` and ``w``, ``samples`` are the slices themselves and the
+    stack is degenerate: one sample per distinct slice object, and ``w ==
+    0`` throughout.  ``brackets`` holds each bracket's alignment, keyed by
+    its pair of samples; a sampled demand passes its own, so that a bracket
+    is aligned once in the demand's lifetime.
     """
 
-    def __init__(self, samples, p, j=None, w=None):
+    def __init__(self, samples, p=None, j=None, w=None, brackets=None):
         if j is None:
             index = {}  # first-seen order, as the dict below keeps it
             j = [index.setdefault(id(q), len(index)) for q in samples]
             samples = list({id(q): q for q in samples}.values())
         j = np.asarray(j, int)
         self.w = np.zeros(len(j)) if w is None else np.asarray(w, float)
-        # sorted, so a bracket's two samples stay adjacent
-        used = np.unique(np.concatenate([j, j[self.w != 0] + 1]))
+        used = self.reads(j, self.w)
         self.j = np.searchsorted(used, j)
         self.samples = [samples[i] for i in used]
-        self.averages = [average_wrt_partition(q, p) for q in self.samples]
+        self.p = p
+        self.brackets = {} if brackets is None else brackets
+
+    @staticmethod
+    def reads(j, w):
+        """Indices of the samples some slice reads: each ``j``, and ``j + 1`` inside a bracket.
+
+        Sorted, so a bracket's two samples stay adjacent.
+        """
+        return np.unique(np.concatenate([j, j[w != 0] + 1]))
+
+    def __len__(self):
+        return len(self.j)
+
+    def __getitem__(self, k):
+        """The quantile of slice ``k``: its sample, or the blend inside its bracket."""
+        j, w = int(self.j[k]), float(self.w[k])
+        return self.samples[j] if w == 0.0 else QuantileFunction(*self.bracket(j, w))
+
+    @cached_property
+    def averages(self):
+        """Each sample's partition average against ``p``, taken on first read."""
+        return [average_wrt_partition(q, self.p) for q in self.samples]
+
+    def take(self, k):
+        """The stack of slices ``k`` alone, sharing this one's bracket alignments."""
+        return DemandStack(self.samples, self.p, self.j[k], self.w[k], self.brackets)
+
+    def bracket(self, i, w):
+        """Breakpoints and rows of the blends of samples ``i`` and ``i + 1`` at weights ``w``."""
+        return _blend_pair(self.samples[i], self.samples[i + 1], w, self.brackets)
 
     def blend(self, cols):
         """Per-slice columns from per-sample ones: ``(1 - w) c_j + w c_{j+1}``.
 
-        A slice at a sample takes that sample's column as it is.  ``take``
+        A slice at a sample takes that sample's column as it is.  ``np.take``
         keeps the result C-contiguous, as a matrix filled column by column
         would be, so reductions along its rows sum in the same order.
         """
@@ -159,6 +194,20 @@ class DemandStack:
         w, nxt = self.w[mid], np.take(cols, self.j[mid] + 1, axis=-1)
         out[..., mid] = (1.0 - w) * out[..., mid] + w * nxt
         return out
+
+
+def _blend_pair(qa, qb, w, brackets):
+    """Displacement blends ``(1 - w) qa + w qb`` on the pair's aligned breakpoints.
+
+    Returns ``(z, rows)``: one row per weight, or one row for a scalar
+    ``w``.  The pair is aligned on first use and kept in ``brackets``,
+    keyed by the two quantile objects.
+    """
+    if (qa, qb) not in brackets:
+        brackets[qa, qb] = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
+    z, V = brackets[qa, qb]
+    w = np.asarray(w, float)[..., None]
+    return z, (1.0 - w) * V[0] + w * V[1]
 
 
 def limit_constant_K(t_grid, qd_slices, p):

@@ -31,8 +31,8 @@ from . import _pwlin, lq
 from .errors import ConfigError, NumericalError
 from .measures import (Density, QuantileFunction, density_from_quantile,
                        quantile_of)
-from .partition import (DemandStack, LevelSetPartition, average_wrt_partition,
-                        build_partition, limit_constant_K)
+from .partition import (DemandStack, LevelSetPartition, _blend_pair,
+                        average_wrt_partition, build_partition, limit_constant_K)
 from .transport import (DensityPath, GridQuantileVelocity, QuantilePath,
                         QuantileReassembledVelocity, VelocityField, _time_blend)
 
@@ -53,6 +53,14 @@ class DemandSignal:
 
     def quantile_at(self, t):
         return quantile_of(self.density_at(t))
+
+    def stack(self, t, p=None):
+        """The ``DemandStack`` of the slices at the times ``t``, averaged against ``p``.
+
+        Each time is queried once; slices the query returns as one object
+        are one sample.
+        """
+        return DemandStack([self.quantile_at(tk) for tk in t], p)
 
 
 class StaticDemand(DemandSignal):
@@ -84,6 +92,11 @@ class PeriodicDemand(DemandSignal):
     def quantile_at(self, t):
         return super().quantile_at(float(t) % self.period)
 
+    def stack(self, t, p=None):
+        """As ``DemandSignal.stack``, with one query per distinct phase ``t mod period``."""
+        phase, j = np.unique(np.asarray(t, float) % self.period, return_inverse=True)
+        return DemandStack([self.quantile_at(s) for s in phase], p, j)
+
 
 class SampledDemand(DemandSignal):
     """Densities at sample times, interpolated along Wasserstein geodesics.
@@ -91,8 +104,8 @@ class SampledDemand(DemandSignal):
     Between samples the quantile is the convex combination of the two
     bracketing quantiles (displacement interpolation), which keeps every
     intermediate slice a valid density.  Each bracket's pair of quantiles
-    is aligned on shared breakpoints once, on first use.  One sample is a
-    demand constant in time.
+    is aligned on shared breakpoints once, on first use, for single queries
+    and stacks alike.  One sample is a demand constant in time.
     """
 
     def __init__(self, times, densities):
@@ -105,7 +118,7 @@ class SampledDemand(DemandSignal):
             raise ConfigError("one density per sample time required")
         self.densities = list(densities)
         self._slices = [quantile_of(d) for d in densities]
-        self._brackets = {}  # bracket index -> aligned (z, V) of its two samples
+        self._brackets = {}  # (q_j, q_j+1) -> their aligned (z, V), shared with stacks
 
     def density_at(self, t):
         return density_from_quantile(self.quantile_at(t))
@@ -132,11 +145,19 @@ class SampledDemand(DemandSignal):
         j, w = int(j), float(w)
         if w == 0.0:
             return self._slices[j]
-        if j not in self._brackets:
-            qa, qb = self._slices[j], self._slices[j + 1]
-            self._brackets[j] = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
-        z, V = self._brackets[j]
-        return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
+        return QuantileFunction(*_blend_pair(self._slices[j], self._slices[j + 1], w,
+                                             self._brackets))
+
+    def stack(self, t, p=None):
+        """The slices at the times ``t`` as blends of the samples, averaged against ``p``.
+
+        Only the samples some slice reads are queried, each once, at its
+        own sample time, where ``quantile_at`` returns the sample itself.
+        """
+        j, w = self.bracket(t)
+        used = DemandStack.reads(j, w)
+        samples = dict(zip(used, (self.quantile_at(s) for s in self.times[used])))
+        return DemandStack(samples, p, j, w, self._brackets)
 
 
 def gaussian_mixture_demand(means, sigmas, base_weights, sin_amplitudes,
@@ -250,8 +271,11 @@ class _Problems:
 def _demand_jump_knots(slices, cap=256):
     """Percentiles where any demand slice's quantile jumps (zero-mass gaps).
 
-    Scanning stops once more than ``cap`` knots are found; the slices left
-    unscanned are reported through the ``swarmlq`` logger.
+    ``slices`` may be a ``DemandStack``'s samples: a blend inside a bracket
+    has a duplicated node exactly where either of its samples jumps, so the
+    samples some slice reads jump where the slices do.  Scanning stops once
+    more than ``cap`` knots are found; the slices left unscanned are
+    reported through the ``swarmlq`` logger.
     """
     knots = set()
     for i, qd in enumerate(slices):
@@ -347,12 +371,14 @@ def _demand_matrix(problems, stack):
 def _check_order(problems, t, r, alpha=None):
     """Scalar trajectories reassemble monotonically; atom levels stay strict.
 
-    A zero atom gap is reported apart from a crossing; given ``alpha`` (a
-    horizon ``t[-1]`` over which gaps decay), as likely float saturation.
+    Rows may invert by rounding, up to ``1e-12`` of the largest ``|r|`` (at
+    least 1).  A zero atom gap is reported apart from a crossing; given
+    ``alpha`` (a horizon ``t[-1]`` over which gaps decay), as likely float
+    saturation.
     """
     order = np.argsort(problems.r0, kind="stable")
     rs = r[order]
-    if np.any(np.diff(rs, axis=0) < -1e-12):
+    if np.any(np.diff(rs, axis=0) < -1e-12 * max(1.0, np.max(np.abs(r), initial=0.0))):
         raise NumericalError("regimes", "scalar trajectories crossed during reassembly")
     gap = np.diff(r[problems.cell], axis=0)  # empty below two atoms
     if np.any(gap < 0):
@@ -366,23 +392,20 @@ def _check_order(problems, t, r, alpha=None):
         raise NumericalError("regimes", msg)
 
 
-def _setup(scenario, t_grid, slices):
+def _setup(scenario, t_grid):
     """Partition, demand stack, scalar problems and their demand matrix.
 
-    ``slices`` holds the demand quantile at each time of ``t_grid``.  A
-    sampled demand's slices are blends of its samples, and its stack says
-    which; any other demand's stack is its own slices.
+    The stack holds the demand at each time of ``t_grid``, as the demand
+    builds it: a sampled demand's slices are blends of its samples, a
+    periodic demand's repeat per phase, and any other demand's stack is its
+    own slices.
     """
     q0 = quantile_of(scenario.resource)
     part = build_partition(q0)
-    demand = scenario.demand
-    if isinstance(demand, SampledDemand):
-        stack = DemandStack(demand._slices, part, *demand.bracket(t_grid))
-    else:
-        stack = DemandStack(slices, part)
+    stack = scenario.demand.stack(t_grid, part)
     has_continuum = len(part.singleton_spans()) > 0  # where jump knots can land
-    problems = _problem_structure(
-        q0, refine=REFINE, knots=_demand_jump_knots(slices) if has_continuum else ())
+    knots = _demand_jump_knots(stack.samples) if has_continuum else ()
+    problems = _problem_structure(q0, refine=REFINE, knots=knots)
     return part, stack, problems, _demand_matrix(problems, stack)
 
 
@@ -395,16 +418,16 @@ def _assemble(problems, t_grid, r, u, alpha=None, field=QuantileReassembledVeloc
     return field(t_grid, problems.z_nodes, Q, U)
 
 
-def _finish(scenario, t_grid, slices, vel, cost, K, part, family, save_every=1,
+def _finish(scenario, t_grid, stack, vel, cost, K, part, family, save_every=1,
             average=False, **extra):
-    """The solution around ``vel``: its saved path, costed against ``slices``.
+    """The solution around ``vel``: its saved path, costed against ``stack``.
 
-    ``slices`` holds the demand quantile at each time of ``t_grid``; ``K``
-    is the floor integral over ``t_grid``.
+    ``stack`` holds the demand at each time of ``t_grid``; ``K`` is the
+    floor integral over ``t_grid``.
     """
     path = _densities_from_rows(vel, scenario.resource.domain, save_every)
     saved = np.searchsorted(t_grid, path.t)  # the path's times are grid times
-    breakdown = evaluate_cost(path, vel, [slices[j] for j in saved], scenario.alpha,
+    breakdown = evaluate_cost(path, vel, stack.take(saved), scenario.alpha,
                               average=average)
     breakdown.limit = K
     qvel = GridQuantileVelocity(vel.z_nodes, t_grid, vel.U)
@@ -437,15 +460,14 @@ def solve_general(scenario, save_every=1):
         raise ConfigError("solve_general needs a finite horizon")
     T, nt, alpha = scenario.horizon, scenario.nt, scenario.alpha
     t_grid = np.linspace(0.0, T, nt + 1)
-    slices = [scenario.demand.quantile_at(t) for t in t_grid]
-    part, stack, problems, d = _setup(scenario, t_grid, slices)
+    part, stack, problems, d = _setup(scenario, t_grid)
 
     fam = lq.solve_family(lq.LQParams(alpha, T, nt), problems.r0, d)
     vel = _assemble(problems, t_grid, fam.r, fam.u, alpha)
     K = limit_constant_K(t_grid, stack, part)
     cost = float(np.sum(problems.weights * fam.cost) + K)
     family = ScalarFamily(**vars(fam), labels=problems.labels, weights=problems.weights)
-    return _finish(scenario, t_grid, slices, vel, cost, K, part, family, save_every)
+    return _finish(scenario, t_grid, stack, vel, cost, K, part, family, save_every)
 
 
 class StaticOptimalVelocity(QuantileReassembledVelocity):
@@ -525,8 +547,9 @@ def solve_static(scenario, save_every=1):
         np.broadcast_to(dbar, r_cells.shape).copy(),
         lq.static_cost(params, r_cells[:, 0], dbar[:, 0]),
         labels=[f"cell{c}" for c in range(part.n_cells)], weights=part.masses)
-    return _finish(scenario, t_grid, [qd] * len(t_grid), vel, closed, K, part, family,
-                   save_every, closed_form_cost=closed)
+    stack = DemandStack([qd], j=np.zeros(len(t_grid), int))
+    return _finish(scenario, t_grid, stack, vel, closed, K, part, family, save_every,
+                   closed_form_cost=closed)
 
 
 class PeriodicVelocity(QuantileReassembledVelocity):
@@ -553,9 +576,7 @@ def solve_periodic(scenario):
     period = scenario.demand.period
     nt, alpha, n_harmonics = scenario.nt, scenario.alpha, scenario.n_harmonics
     t = np.linspace(0.0, period, nt + 1)  # one closed period: slice nt is slice 0
-    slices = [scenario.demand.quantile_at(tk) for tk in t[:-1]]
-    slices.append(slices[0])
-    part, stack, problems, d = _setup(scenario, t, slices)
+    part, stack, problems, d = _setup(scenario, t)
 
     coef = np.fft.rfft(d[:, :-1], axis=-1) / nt
     k = np.arange(coef.shape[-1])
@@ -585,7 +606,7 @@ def solve_periodic(scenario):
     family = ScalarFamily(t, np.full(nt + 1, alpha), y, r, u, d, J,
                           labels=problems.labels, weights=problems.weights)
     table = _frequency_table(problems, coef, r_hat, omega, n_harmonics)
-    return _finish(scenario, t, slices, vel, cost, K, part, family, average=True,
+    return _finish(scenario, t, stack, vel, cost, K, part, family, average=True,
                    period=period, frequency_table=table,
                    warmup=_warmup_path(scenario, problems, vel))
 
@@ -627,9 +648,10 @@ def _warmup_path(scenario, problems, vel, n_steps=200):
 def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
     """Realized cost of a trajectory/velocity pair against a demand signal.
 
-    ``demand`` is a ``DemandSignal`` or the sequence of demand quantiles at
-    ``trajectory.t``.  The assignment term integrates squared slice
-    distances, read from the quantile rows of a ``QuantilePath``; the
+    ``demand`` is a ``DemandSignal``, a ``DemandStack`` or the sequence of
+    demand quantiles at ``trajectory.t``; a signal is read as its stack at
+    those times.  The assignment term integrates squared slice distances,
+    read from the quantile rows of a ``QuantilePath``; the
     motion term is computed twice, once in space (``int V^2 R dx``) and once
     in percentile coordinates (``int U^2 dz`` with ``U = V o Q``), and the
     two must agree to ``MOTION_IDENTITY_TOL`` per slice.  With
@@ -638,7 +660,9 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
     t = np.asarray(trajectory.t, float)
     n = len(t)
     if isinstance(demand, DemandSignal):
-        demand = [demand.quantile_at(tj) for tj in t]
+        demand = demand.stack(t)
+    elif not isinstance(demand, DemandStack):
+        demand = DemandStack(demand)
     if len(demand) != n:
         raise ValueError(f"{len(demand)} demand slices for {n} trajectory times")
     if isinstance(trajectory, QuantilePath):
@@ -675,20 +699,23 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
                          t=t, assignment_t=a_t, motion_x_t=mx_t, motion_z_t=mz_t)
 
 
-def _assignment_rows(path, demand):
-    """Squared L2 distance of each quantile row of ``path`` to its demand slice.
+def _assignment_rows(path, stack):
+    """Squared L2 distance of each quantile row of ``path`` to its slice of ``stack``.
 
-    The rows that share one demand quantile (a static demand) are
-    integrated as one stack; each row reads as ``path.quantile(k)`` does.
+    The rows at one sample are integrated as one stack against it, and the
+    rows strictly inside one bracket as one stack against their blends, on
+    the bracket's aligned breakpoints; each row reads as ``path.quantile(k)``
+    does.
     """
+    rows = np.maximum.accumulate(path.Q, axis=-1)
     a_t = np.empty(len(path))
-    groups = {}
-    for j, qd in enumerate(demand):
-        groups.setdefault(id(qd), []).append(j)
-    for js in groups.values():
-        qd = demand[js[0]]
-        rows = np.maximum.accumulate(path.Q[js], axis=-1)
-        a_t[js] = _pwlin.integral_sq_diff(path.z_nodes, rows, qd.z, qd.values)
+    run = 2 * stack.j + (stack.w != 0)  # at sample i: 2i; inside bracket i: 2i + 1
+    order = np.argsort(run, kind="stable")
+    for k in np.split(order, np.flatnonzero(np.diff(run[order])) + 1):
+        i, inside = divmod(int(run[k[0]]), 2)
+        qd = stack.samples[i]
+        curve = stack.bracket(i, stack.w[k]) if inside else (qd.z, qd.values)
+        a_t[k] = _pwlin.integral_sq_diff(path.z_nodes, rows[k], *curve)
     return a_t
 
 

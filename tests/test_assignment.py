@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_density
 from swarmlq import Density, wasserstein2
-from swarmlq.assignment import (check_marginals, optimal_plan, plan_cost,
+from swarmlq.assignment import (_marginal, check_marginals, optimal_plan, plan_cost,
                                 plan_from_couplings)
 from swarmlq import oracle
 
@@ -133,3 +133,18 @@ def test_optimal_matches_lp_oracle():
         d = Density.from_atoms(bx, bm, domain=(-1, 11))
         assert plan_cost(optimal_plan(r, d)) == pytest.approx(
             oracle.lp_wasserstein((ax, am), (bx, bm)), abs=1e-9)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0 ** 30])
+def test_marginal_overlap_tolerance_scales_with_the_offset(offset):
+    # two ramps of mass 1/2 that touch at ``end``; the second starts one ulp
+    # early, as rounding may place it, or overlaps for real
+    length = 1.0 if offset == 0.0 else 2.0 ** 20  # long enough that the mass stays 1
+    end = offset + length
+    first = (0.5, offset, end)
+    touching = _marginal(np.array([first, (0.5, np.nextafter(end, 0.0), end + length)]), None)
+    assert np.array_equal(touching.edges, [offset, end, end + length])
+    for overlap in (2e-15, 1e-9):
+        with pytest.raises(ValueError, match="overlapping ramps"):
+            _marginal(np.array([first, (0.5, end - overlap * max(1.0, end), end + length)]),
+                      None)

@@ -19,12 +19,13 @@ from swarmlq import (Density, DensityPath, QuantileFunction, QuantilePath, _pwli
 from swarmlq.measures import densities_l1_distance
 from swarmlq.partition import (DemandStack, LevelSetPartition, average_wrt_partition,
                                build_partition, cell_means, limit_constant_K)
-from swarmlq.regimes import (SampledDemand, StaticOptimalVelocity, _demand_jump_knots,
-                             _demand_matrix, _densities_from_rows, _motion_x, _motion_z,
-                             _problem_structure, evaluate_cost, solve_general, solve_static)
+from swarmlq.regimes import (PeriodicDemand, SampledDemand, Scenario, StaticOptimalVelocity,
+                             _assignment_rows, _demand_jump_knots, _demand_matrix,
+                             _densities_from_rows, _motion_x, _motion_z, _problem_structure,
+                             evaluate_cost, solve_general, solve_static)
 from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
 
-from helpers import random_scenario, reference_static_scenario
+from helpers import random_density, random_scenario, reference_static_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -204,6 +205,19 @@ def _ref_sampled_quantile(times, densities, t):
         return qb
     z, V = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
     return QuantileFunction(z, (1.0 - w) * V[0] + w * V[1])
+
+
+def _ref_assignment_rows(path, demand):
+    """Squared L2 distance of each row to its slice, one stack per distinct slice object."""
+    a_t = np.empty(len(path))
+    groups = {}
+    for j, qd in enumerate(demand):
+        groups.setdefault(id(qd), []).append(j)
+    for js in groups.values():
+        qd = demand[js[0]]
+        rows = np.maximum.accumulate(path.Q[js], axis=-1)
+        a_t[js] = _pwlin.integral_sq_diff(path.z_nodes, rows, qd.z, qd.values)
+    return a_t
 
 
 def _ref_demand_matrix(problems, slices):
@@ -1037,6 +1051,83 @@ def test_assignment_rows_read_as_the_path_quantiles(q, qd, seed):
         qj = path.quantile(j)
         want = _pwlin.integral_sq_diff(qj.z, qj.values, demand[j].z, demand[j].values)
         assert a_t[j] == want
+
+
+@PROPERTY
+@given(densities(), st.lists(densities(), min_size=1, max_size=4), st.integers(2, 30),
+       st.integers(1, 7), st.sampled_from([0.3, 0.5, 1.0, 1.6]), st.data())
+def test_stacked_assignment_rows_equal_per_slice_reference(resource, dens, nt, save_every,
+                                                           frac, data):
+    gaps = data.draw(st.lists(st.floats(0.25, 2.0), min_size=len(dens) - 1,
+                              max_size=len(dens) - 1))
+    demand = SampledDemand(np.concatenate([[0.0], np.cumsum(gaps)]), dens)
+    t = np.linspace(0.0, frac * max(demand.times[-1], 1.0), nt + 1)
+    # rows keep the resource's flats, jumps and continuum, and dip by up to
+    # 1e-12 as reassembled rows may
+    q0 = quantile_of(resource)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Q = (rng.uniform(-2.0, 2.0, (nt + 1, 1)) + rng.uniform(0.5, 2.0, (nt + 1, 1)) * q0.values
+         - rng.uniform(0.0, 1e-12, (nt + 1, len(q0.z))))
+    vel = SimpleNamespace(t_nodes=t, z_nodes=q0.z, Q=Q)
+    path = _densities_from_rows(vel, resource.domain, save_every)
+    want = _ref_assignment_rows(path, [demand.quantile_at(tk) for tk in path.t])
+    assert np.array_equal(_assignment_rows(path, demand.stack(path.t)), want)
+    # as a solve costs its path: the grid's stack, taken at the saved times
+    saved = demand.stack(t).take(np.searchsorted(t, path.t))
+    assert np.array_equal(_assignment_rows(path, saved), want)
+
+
+def test_evaluate_cost_on_a_sampled_demand_equals_its_slices():
+    # five samples, the horizon ending inside the fourth bracket: most saved
+    # slices are blends, and the last sample is never read
+    rng = np.random.default_rng(12)
+    demand = SampledDemand([0.0, 1.0, 1.5, 2.5, 4.0],
+                           [random_density(rng) for _ in range(5)])
+    scen = Scenario(random_density(rng), demand, alpha=0.8, horizon=3.3, nt=40)
+    sol = solve_general(scen, save_every=3)
+    path = sol.trajectory
+    assert np.count_nonzero(demand.stack(path.t).w) > len(path) // 2
+    got = evaluate_cost(path, sol.velocity, demand, scen.alpha)
+    want = evaluate_cost(path, sol.velocity, [demand.quantile_at(t) for t in path.t],
+                         scen.alpha)
+    for f in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+    assert np.array_equal(sol.breakdown.assignment_t, want.assignment_t)
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.55, 1.0, 1.6])
+def test_demand_jump_knots_of_the_stack_samples_equal_per_slice(frac):
+    # every sample has two zero-mass gaps, at percentiles that move from one
+    # sample to the next; the horizon ends inside the first bracket, inside
+    # the second, at the last sample or past it
+    edges = [1.0, 2.0, 4.0, 5.0, 7.0, 8.0]
+    dens = [Density((0.0, 10.0), edges=edges, values=[a, 0.0, 1.0, 0.0, 2.0 - a],
+                    normalize=True) for a in (0.3, 0.7, 1.2, 1.6)]
+    demand = SampledDemand([0.0, 1.0, 2.5, 3.0], dens)
+    t = np.linspace(0.0, frac * 3.0, 23)
+    stack = demand.stack(t)
+    per_slice = _demand_jump_knots([demand.quantile_at(tk) for tk in t])
+    assert len(per_slice) >= 4
+    assert np.array_equal(_demand_jump_knots(stack.samples), per_slice)
+    if frac < 1.0:  # a sample no slice reads would add knots of its own
+        assert len(stack.samples) < len(dens)
+        assert len(_demand_jump_knots(demand._slices)) > len(per_slice)
+
+
+def test_periodic_stack_queries_each_phase_once():
+    phases = []
+
+    def rule(t):
+        phases.append(t)
+        return Density((0.0, 10.0), atoms=[(2.0 + t, 0.5), (6.0 + t, 0.5)])
+
+    demand = PeriodicDemand(2.0, rule)
+    t = np.linspace(0.0, 4.0, 9)  # two periods on a half-unit grid
+    stack = demand.stack(t)
+    assert phases == [0.0, 0.5, 1.0, 1.5]
+    assert len(stack) == 9 and len(stack.samples) == 4
+    for k in range(9):
+        assert stack[k] is stack.samples[k % 4]
 
 
 @pytest.mark.parametrize("cells", [

@@ -165,6 +165,20 @@ def test_check_order_names_float_saturation_only_given_alpha():
         _check_order(problems, t, r - [[0.0, 0.0, 0.0], [0.0, 0.0, 1e-13]])
 
 
+def test_check_order_tolerance_scales_with_a_domain_offset():
+    # two point problems near 1e9: at t=1 the upper row rounds one ulp below
+    # the lower one, which an absolute 1e-12 would call a crossing
+    scale = 1e9
+    problems = SimpleNamespace(r0=np.array([scale, scale + 1.0]), cell=np.array([False, False]))
+    t = np.array([0.0, 1.0])
+    top = scale + 2.0
+    r = np.array([[scale, top], [scale + 1.0, np.nextafter(top, 0.0)]])
+    _check_order(problems, t, r)
+    r[1, 1] = top - 1e-6 * scale
+    with pytest.raises(NumericalError, match="scalar trajectories crossed"):
+        _check_order(problems, t, r)
+
+
 def _mixed(domain, atom, edges, mass, s=1.0, c=0.0):
     """One atom plus one histogram cell, under ``x -> s x + c``."""
     lo, hi = s * np.asarray(domain) + c
