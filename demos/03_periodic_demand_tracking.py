@@ -2,10 +2,12 @@
 
 The demand oscillates between two Gaussian lobes once per time unit; eleven
 unequal agents track it at steady state.  Per partition cell, the map from
-reference signal to optimal trajectory is the zero-phase filter
-1 / (alpha^2 w^2 + 1), so small alpha follows the demand closely and large
-alpha barely moves.  The script prints per-harmonic gains for three values
-of alpha and writes one period of the steady-state trajectories.
+reference signal to optimal trajectory is a zero-phase filter, the exact
+gain of the time grid's piecewise-linear reference, which is close to the
+continuous law 1 / (alpha^2 w^2 + 1) while the step is small against alpha:
+small alpha follows the demand closely and large alpha barely moves.  The
+script prints per-harmonic gains for three values of alpha and writes one
+period of the steady-state trajectories.
 """
 
 from pathlib import Path

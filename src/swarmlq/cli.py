@@ -36,6 +36,13 @@ from .transport import CallableVelocity, advect_density
 SCHEMA_LINE = "# schema=1"
 
 
+def _value(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text  # bare string
+
+
 def parse_config(text):
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -45,12 +52,7 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        try:
-            cfg[key] = json.loads(val)
-        except json.JSONDecodeError:
-            cfg[key] = val  # bare string
+        cfg[key.strip()] = _value(val.strip())
     return cfg
 
 
@@ -166,10 +168,8 @@ def _timeseries_rows(sol, resource):
     bd = sol.breakdown
     columns, state = _state_columns(resource, sol.trajectory.densities)
     header = ["t", "cost_assignment", "cost_motion", *columns]
-    rows = []
-    for j, t in enumerate(sol.trajectory.t):
-        rows.append([t, bd.assignment_t[j], bd.motion_z_t[j], *state(sol.trajectory[j])])
-    return header, rows
+    return header, [[t, bd.assignment_t[j], bd.motion_z_t[j], *state(sol.trajectory[j])]
+                    for j, t in enumerate(sol.trajectory.t)]
 
 
 def _emit_solution(sol, scenario, cfg, outdir):
@@ -178,11 +178,8 @@ def _emit_solution(sol, scenario, cfg, outdir):
     _write_csv(outdir / "partition.csv", ["z_lo", "z_hi", "level", "mass"],
                sol.partition.to_rows())
     fam = sol.family
-    cell_rows = []
-    for i, label in enumerate(fam.labels):
-        for j, t in enumerate(fam.t):
-            cell_rows.append([label, t, fam.p[j], fam.y[i, j], fam.r[i, j],
-                              fam.u[i, j], fam.d[i, j]])
+    cell_rows = [[label, t, fam.p[j], fam.y[i, j], fam.r[i, j], fam.u[i, j], fam.d[i, j]]
+                 for i, label in enumerate(fam.labels) for j, t in enumerate(fam.t)]
     _write_csv(outdir / "cells.csv", ["cell", "t", "p", "y", "r", "u", "d"], cell_rows)
     if sol.frequency_table is not None:
         _write_csv(outdir / "freq.csv",
@@ -200,20 +197,18 @@ def _emit_solution(sol, scenario, cfg, outdir):
     _write_summary(outdir, cfg, lines)
 
 
-def _cmd_solve(args, cfg, outdir, which):
+def _cmd_solve(cfg, outdir, solve):
     scenario = _scenario_from(cfg)
-    if which == "static":
-        sol = solve_static(scenario, save_every=max(1, scenario.nt // 200))
-    elif which == "general":
-        sol = solve_general(scenario, save_every=max(1, scenario.nt // 200))
+    if solve is solve_periodic:
+        sol = solve(scenario)
     else:
-        sol = solve_periodic(scenario)
+        sol = solve(scenario, save_every=max(1, scenario.nt // 200))
     _emit_solution(sol, scenario, cfg, outdir)
     print(f"cost = {sol.cost!r}  (K = {sol.breakdown.limit!r})")
     return 0
 
 
-def _cmd_wasserstein(args, cfg, outdir):
+def _cmd_wasserstein(cfg, outdir):
     a = _density_from(cfg, "density_a")
     b = _density_from(cfg, "density_b")
     w = wasserstein2(a, b)
@@ -222,7 +217,7 @@ def _cmd_wasserstein(args, cfg, outdir):
     return 0
 
 
-def _cmd_simulate(args, cfg, outdir):
+def _cmd_simulate(cfg, outdir):
     resource = _density_from(cfg, "resource")
     kind = cfg.get("velocity.kind", "zero")
     if kind == "zero":
@@ -248,7 +243,7 @@ def _cmd_simulate(args, cfg, outdir):
     return 0
 
 
-def _cmd_verify(args, cfg, outdir):
+def _cmd_verify(cfg, outdir):
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     lines = []
@@ -298,20 +293,29 @@ def _cmd_verify(args, cfg, outdir):
     return 0
 
 
+_COMMANDS = {
+    "solve-static": lambda cfg, outdir: _cmd_solve(cfg, outdir, solve_static),
+    "solve-periodic": lambda cfg, outdir: _cmd_solve(cfg, outdir, solve_periodic),
+    "solve-general": lambda cfg, outdir: _cmd_solve(cfg, outdir, solve_general),
+    "wasserstein": _cmd_wasserstein,
+    "simulate": _cmd_simulate,
+    "verify": _cmd_verify,
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="swarmlq",
         description="optimal assignment-and-motion control for 1D two-class swarms")
-    ap.add_argument("command", choices=["solve-static", "solve-periodic",
-                                        "solve-general", "wasserstein",
-                                        "simulate", "verify"])
+    ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--config", type=Path, help="path to a flat key=value config")
     ap.add_argument("--alpha", type=float, help="override tradeoff weight")
     ap.add_argument("--horizon", help="override horizon (number or 'periodic')")
     ap.add_argument("--nt", type=int, help="override time-grid size")
     ap.add_argument("--nx", type=int,
                     help="override the periodic-mixture demand grid size (demand.nx)")
-    ap.add_argument("--harmonics", type=int, help="override harmonic count")
+    ap.add_argument("--harmonics", type=int,
+                    help="override the harmonic rows per problem in freq.csv (grid.harmonics)")
     ap.add_argument("--seed", type=int, help="override RNG seed")
     ap.add_argument("--out", type=Path, help="output directory")
     return ap
@@ -332,28 +336,11 @@ def main(argv=None):
                          ("grid.nt", args.nt), ("demand.nx", args.nx),
                          ("grid.harmonics", args.harmonics), ("seed", args.seed)):
             if val is not None:
-                try:
-                    cfg[key] = json.loads(str(val))
-                except json.JSONDecodeError:
-                    cfg[key] = val
-        outdir = args.out or Path(cfg.get("out", "swarmlq-out"))
-        outdir = Path(outdir)
+                cfg[key] = _value(str(val))
+        outdir = Path(args.out or cfg.get("out", "swarmlq-out"))
         outdir.mkdir(parents=True, exist_ok=True)
         cfg["out"] = str(outdir)
-
-        if args.command == "solve-static":
-            return _cmd_solve(args, cfg, outdir, "static")
-        if args.command == "solve-general":
-            return _cmd_solve(args, cfg, outdir, "general")
-        if args.command == "solve-periodic":
-            return _cmd_solve(args, cfg, outdir, "periodic")
-        if args.command == "wasserstein":
-            return _cmd_wasserstein(args, cfg, outdir)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg, outdir)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg, outdir)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, outdir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

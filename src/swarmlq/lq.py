@@ -163,6 +163,25 @@ def solve_scalar(params, r0, d):
                             squeeze(sol.u), squeeze(sol.d), float(np.atleast_1d(sol.cost)[0]))
 
 
+def _hyperbolic(x):
+    """``csch(x)`` and ``tanh(x/2) = coth(x) - csch(x)``, neither by cancellation."""
+    return 2.0 * np.exp(-x) / -np.expm1(-2.0 * x), np.tanh(x / 2.0)
+
+
+def _step_closed_forms(a, h, e, g, s):
+    """``u`` at each step's start and the summed ``int e**2 + a**2 u**2``, exact.
+
+    On step k of length ``h`` the error ``e = r - d`` is hyperbolic from
+    ``e_k`` to ``e_k + g_k``; the reference has slope ``s_k``.
+    """
+    csch, th = _hyperbolic(h / a)
+    u = (csch * g - th * e[..., :-1]) / a + s
+    ek, ek1 = e[..., :-1], e[..., 1:]
+    cost = np.sum(a * (g ** 2 * csch + th * (ek ** 2 + ek1 ** 2))
+                  + a * a * s * (2.0 * g + s * h), axis=-1)
+    return u, cost
+
+
 def solve_family(params, r0, d):
     """Solve a batch of scalar tracking problems sharing one Riccati solution.
 
@@ -177,8 +196,7 @@ def solve_family(params, r0, d):
     a, n = params.alpha, params.nt
     h = params.T / n
     x = h / a
-    csch = 2.0 * np.exp(-x) / -np.expm1(-2.0 * x)
-    th = np.tanh(x / 2.0)  # coth - csch
+    csch, th = _hyperbolic(x)
     t = params.t_grid
     d = _sample_signal(d, t)
     s = np.diff(d, axis=-1) / h
@@ -208,10 +226,7 @@ def solve_family(params, r0, d):
     r = d + e
     r[..., 0] = r0
     u = np.zeros_like(d)
-    u[..., :-1] = (csch * g - th * e[..., :-1]) / a + s
-    ek, ek1 = e[..., :-1], e[..., 1:]
-    cost = np.sum(a * (g ** 2 * csch + th * (ek ** 2 + ek1 ** 2))
-                  + a * a * s * (2.0 * g + s * h), axis=-1)
+    u[..., :-1], cost = _step_closed_forms(a, h, e, g, s)
     return ScalarLQSolution(t, riccati(params)(t), feedforward(params, d), r, u, d, cost)
 
 

@@ -15,11 +15,11 @@ through ``node_problem``.  Their demand matrix and the floor ``K`` come
 from a ``DemandStack``: work per demand sample, blended per slice.  The
 static regime collapses to an error-feedback law whose trajectory
 traverses the Wasserstein geodesic toward the nearest reachable density;
-the periodic regime works in the frequency domain, on the closed grid of
-one period, where the map from reference to steady state is a zero-phase
-second-order low-pass filter with cutoff ``1/alpha``.
-Demand signals keep no per-time cache: each solve queries every grid time
-once, except that the periodic solver reuses slice 0 at ``t = P``.
+the periodic regime makes the general discretisation cyclic on one closed
+period, where it is a zero-phase low-pass filter per harmonic.  Demand
+signals keep no per-time cache: a solve queries a sampled demand once per
+sample some slice reads, a periodic demand once per distinct phase, and any
+other demand once per grid time.
 """
 
 import logging
@@ -199,7 +199,7 @@ class Scenario:
     alpha: float
     horizon: float | None = None
     nt: int = 1000
-    n_harmonics: int = 64
+    n_harmonics: int = 64  # periodic: frequency-table rows per problem
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -563,13 +563,12 @@ class PeriodicVelocity(QuantileReassembledVelocity):
 def solve_periodic(scenario):
     """Infinite-horizon steady state for a periodic demand.
 
-    Per-problem demand samples over one period are filtered harmonic by
-    harmonic with the zero-phase gain ``1 / (alpha^2 w^2 + 1)`` (truncated at
-    ``n_harmonics``; the neglected tail of the returned trajectory decays
-    like ``w**-2``).  The reported cost is the infinite-horizon average,
-    including the full untruncated tracking residual and the averaging
-    floor.  A closed-form warm-up of length ``3 * alpha`` from the initial
-    resource is attached; steady-state behavior does not depend on it.
+    ``lq.solve_family``'s stencil for ``e = r - d``, with ``e`` periodic over
+    one period, is circulant: one FFT solves it exactly, with a real gain per
+    harmonic that tends to ``1 / (alpha^2 w^2 + 1)`` as ``dt/alpha -> 0``.
+    The cost is the per-period average of the exact step costs, plus the
+    floor; ``n_harmonics`` sets only the frequency-table rows.  A closed-form
+    warm-up of length ``3 * alpha`` from the initial resource is attached.
     """
     if not isinstance(scenario.demand, PeriodicDemand):
         raise ConfigError("solve_periodic requires a periodic demand")
@@ -578,25 +577,22 @@ def solve_periodic(scenario):
     t = np.linspace(0.0, period, nt + 1)  # one closed period: slice nt is slice 0
     part, stack, problems, d = _setup(scenario, t)
 
+    # circulant stencil (diagonal 2 coth x, off-diagonals -csch x, right side
+    # alpha (s_k - s_k-1)): per harmonic, e_hat = -4 sin^2(theta/2) d_hat / (x lam)
+    h = period / nt
+    x = h / alpha
+    csch, th = lq._hyperbolic(x)
     coef = np.fft.rfft(d[:, :-1], axis=-1) / nt
     k = np.arange(coef.shape[-1])
-    omega = 2.0 * np.pi * k / period
-    gain = 1.0 / (alpha ** 2 * omega ** 2 + 1.0)
-    keep = k <= n_harmonics
-    r_hat = np.where(keep, coef * gain, 0.0)
-    u_hat = 1j * omega * r_hat
-    r, u = (np.fft.irfft(a, n=nt) * nt for a in (r_hat, u_hat))
-    r, u = (np.column_stack([a, a[:, 0]]) for a in (r, u))
-
-    # average per-problem cost: filtered weight below the cutoff, full
-    # tracking residual above it (the truncated trajectory does not move)
-    mult = np.full(len(k), 2.0)
-    mult[0] = 1.0
-    if nt % 2 == 0:
-        mult[-1] = 1.0
-    w_sq = (alpha * omega) ** 2 / (alpha ** 2 * omega ** 2 + 1.0)
-    per_k = np.where(keep, w_sq, 1.0) * mult * np.abs(coef) ** 2
-    J = np.sum(per_k, axis=-1)
+    sin_sq = np.sin(np.pi * k / nt) ** 2  # sin^2(theta/2), theta = 2 pi k / nt
+    lam = 2.0 * th + 4.0 * csch * sin_sq
+    e_gain = -4.0 * sin_sq / (x * lam)
+    e = np.fft.irfft(coef * e_gain, n=nt) * nt
+    e = np.column_stack([e, e[:, 0]])
+    r = d + e
+    u, J = lq._step_closed_forms(alpha, h, e, np.diff(e, axis=-1), np.diff(d, axis=-1) / h)
+    u = np.column_stack([u, u[:, 0]])
+    J = J / period
 
     K = limit_constant_K(t, stack, part)
     cost = float(np.sum(problems.weights * J) + K / period)
@@ -605,7 +601,8 @@ def solve_periodic(scenario):
     y = -alpha ** 2 * u - alpha * r
     family = ScalarFamily(t, np.full(nt + 1, alpha), y, r, u, d, J,
                           labels=problems.labels, weights=problems.weights)
-    table = _frequency_table(problems, coef, r_hat, omega, n_harmonics)
+    omega = 2.0 * np.pi * k / period
+    table = _frequency_table(problems, coef, (1.0 + e_gain) * coef, omega, n_harmonics)
     return _finish(scenario, t, stack, vel, cost, K, part, family, average=True,
                    period=period, frequency_table=table,
                    warmup=_warmup_path(scenario, problems, vel))

@@ -240,6 +240,43 @@ def test_periodic_closes_its_period_exactly():
         assert np.array_equal(a[:, -1], a[:, 0])
 
 
+def _wobbling_atoms():
+    """Three atoms and a period-1 demand whose atoms move with several harmonics."""
+    w = np.array([0.2, 0.5, 0.3])
+    centers = np.array([1.0, 4.0, 7.0])
+    dem = PeriodicDemand(1.0, lambda t: Density((-1, 9), atoms=np.column_stack(
+        [centers + 0.4 * np.sin(2 * np.pi * t) + 0.2 * np.cos(6 * np.pi * t) ** 3, w])))
+    return Density((-1, 9), atoms=np.column_stack([centers - 0.5, w])), dem
+
+
+@pytest.mark.parametrize("alpha", (0.08, 0.3))
+@pytest.mark.parametrize("nt", (64, 65))
+def test_periodic_is_the_middle_period_of_a_long_general_solve(alpha, nt):
+    # the steady state is the long-horizon limit of the same discretisation:
+    # at least 40 alpha of lead-in on each side of the compared period
+    res, dem = _wobbling_atoms()
+    per = solve_periodic(Scenario(res, dem, alpha=alpha, horizon=None, nt=nt))
+    lead = int(np.ceil(40 * alpha))
+    gen = solve_general(Scenario(res, dem, alpha=alpha, horizon=2 * lead + 1.0,
+                                 nt=(2 * lead + 1) * nt), save_every=nt)
+    mid = slice(lead * nt, (lead + 1) * nt + 1)
+    d_scale = np.max(np.abs(per.family.d))
+    u_scale = np.max(np.abs(per.family.u))
+    assert np.max(np.abs(gen.family.r[:, mid] - per.family.r)) <= 1e-13 * d_scale
+    assert np.max(np.abs(gen.family.u[:, mid] - per.family.u)) <= 1e-11 * u_scale
+
+
+def test_periodic_harmonics_size_only_the_frequency_table():
+    res, dem = _wobbling_atoms()
+    few, many = (solve_periodic(Scenario(res, dem, alpha=0.2, nt=40, n_harmonics=n))
+                 for n in (2, 64))
+    assert few.cost == many.cost
+    for name in ("r", "u", "y", "d", "cost"):
+        assert np.array_equal(getattr(few.family, name), getattr(many.family, name))
+    assert len(few.frequency_table) == 3 * 3 and len(many.frequency_table) == 3 * 21
+    assert few.frequency_table == [row for row in many.frequency_table if row[1] <= 2]
+
+
 def test_general_rejects_missing_horizon():
     res = Density((0, 10), atoms=[(2.0, 1.0)])
     scen = Scenario(res, StaticDemand(res), alpha=1.0, horizon=None, nt=100)
@@ -271,8 +308,13 @@ def test_periodic_sinusoid_gain_and_phase():
     res = Density((-1, 9), atoms=np.column_stack([centers - 0.5, w]))
     scen = Scenario(res, dem, alpha=alpha, horizon=None, nt=256, n_harmonics=32)
     sol = solve_periodic(scen)
-    om = 2 * np.pi * kharm / period
-    want = 1.0 / (alpha ** 2 * om ** 2 + 1.0)
+    # exact gain of the piecewise-linear reference through the samples (the
+    # cyclic Euler-Lagrange stencil's eigenvalue lam); the continuous law
+    # 1 / (alpha^2 w^2 + 1) = 0.219632... is its dt -> 0 limit
+    x, half = period / 256 / alpha, np.pi * kharm / 256
+    lam = 2.0 * np.tanh(x / 2.0) + 4.0 * np.sin(half) ** 2 / np.sinh(x)
+    want = 1.0 - 4.0 * np.sin(half) ** 2 / (x * lam)
+    assert want == pytest.approx(0.21958853151255917, abs=1e-15)
     for label, k, omega, dab, rab, gain in sol.frequency_table:
         if k == kharm:
             assert gain == pytest.approx(want, abs=1e-12)
