@@ -98,6 +98,41 @@ def refine_rising(x, v, n, knots=()):
     return xr, vr
 
 
+def bracket(nodes, t):
+    """Node ``j`` and weight ``w`` of each time ``t`` on increasing ``nodes``, for ``blend``.
+
+    ``w == 0`` exactly at a node; a weight that rounds to 1 maps to node
+    ``j + 1``.  Times outside the nodes clip to the ends, and a single node
+    gives zeros.
+    """
+    # np.clip costs more than the rest on the scalar times most calls take
+    t = np.minimum(np.maximum(np.asarray(t, float), nodes[0]), nodes[-1])
+    if len(nodes) == 1:
+        return np.zeros(t.shape, int), np.zeros(t.shape)
+    j = np.minimum(nodes.searchsorted(t, side="right") - 1, len(nodes) - 2)  # t >= nodes[0]
+    w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    at_next = w == 1.0
+    return j + at_next, w - at_next  # 0 exactly where w is 1
+
+
+def blend(rows, j, w, axis=0):
+    """``(1 - w) rows[j] + w rows[j + 1]`` along ``axis``, for scalar or vector ``j``, ``w``.
+
+    Where ``w == 0`` row ``j`` is returned as it is; row ``j + 1`` is read
+    only where ``w != 0``.  The result is C-contiguous (``np.take``), so
+    reductions along it sum in the same order as on rows filled one by one.
+    """
+    out = np.take(rows, j, axis=axis)
+    if np.ndim(w) == 0:
+        return out if w == 0 else (1.0 - w) * out + w * np.take(rows, j + 1, axis=axis)
+    k = np.flatnonzero(w)
+    axis %= out.ndim
+    at = (slice(None),) * axis + (k,)
+    wk = w[k].reshape((-1,) + (1,) * (out.ndim - axis - 1))
+    out[at] = (1.0 - wk) * out[at] + wk * np.take(rows, j[k] + 1, axis=axis)
+    return out
+
+
 def merged_grid(*xs):
     """Strictly increasing union of several breakpoint abscissa arrays."""
     return np.unique(np.concatenate(xs))

@@ -88,8 +88,6 @@ def transition_y(params, t, tau):
 
 
 def _sample_signal(d, t):
-    if callable(d):
-        return np.asarray(d(t), float)
     d = np.asarray(d, float)
     if d.shape[-1] == len(t):
         return d
@@ -121,9 +119,9 @@ def _step_kernel_integrals(params, t):
 def feedforward(params, d):
     """Anti-causal feedforward: backward sweep against the closed-form kernel.
 
-    ``d`` may be a callable of time or samples on the grid; samples are
-    treated as a piecewise-linear signal, for which the sweep is exact.
-    Supports batched signals with shape ``(..., nt + 1)``.
+    ``d`` holds samples on the grid, treated as a piecewise-linear signal,
+    for which the sweep is exact.  Supports batched signals with shape
+    ``(..., nt + 1)``.
     """
     t = params.t_grid
     d = _sample_signal(d, t)
@@ -155,9 +153,8 @@ class ScalarLQSolution:
 
 def solve_scalar(params, r0, d):
     """Solve one scalar tracking problem; see :func:`solve_family` for batches."""
-    if not callable(d):
-        d = np.atleast_2d(np.asarray(d, float))
-    sol = solve_family(params, np.atleast_1d(np.asarray(r0, float)), d)
+    sol = solve_family(params, np.atleast_1d(np.asarray(r0, float)),
+                       np.atleast_2d(np.asarray(d, float)))
     squeeze = lambda a: a[0] if a.ndim > 1 else a
     return ScalarLQSolution(sol.t, sol.p, squeeze(sol.y), squeeze(sol.r),
                             squeeze(sol.u), squeeze(sol.d), float(np.atleast_1d(sol.cost)[0]))
@@ -185,8 +182,8 @@ def _step_closed_forms(a, h, e, g, s):
 def solve_family(params, r0, d):
     """Solve a batch of scalar tracking problems sharing one Riccati solution.
 
-    ``r0`` has shape (B,), ``d`` is a callable of time returning (B, len(t))
-    or an array (B, nt + 1) of samples, taken as a piecewise-linear signal.
+    ``r0`` has shape (B,) and ``d`` is an array (B, nt + 1) of samples,
+    taken as a piecewise-linear signal.
     On each step ``e = r - d`` is hyperbolic, so continuity of ``r'`` gives
     one tridiagonal system for ``e`` shared by the family; one refinement
     step, its residual in differences of ``e``, undoes the rounding of the

@@ -130,22 +130,17 @@ class DemandStack:
     their aligned breakpoints (``bracket``).  Cell means, the averaging
     residual and the distance to another quantile on shared nodes are linear
     or quadratic in the slice, so they are taken per sample, or per bracket
-    in one stack.  Each sample's partition average against ``p`` is taken
-    once, when ``averages`` is first read; a stack that is only costed
-    needs no partition.  Only the samples some slice reads are kept.
-    Without ``j`` and ``w``, ``samples`` are the slices themselves and the
-    stack is degenerate: one sample per distinct slice object, and ``w ==
-    0`` throughout.  ``brackets`` holds each bracket's alignment, keyed by
-    its pair of samples; a sampled demand passes its own, so that a bracket
-    is aligned once in the demand's lifetime.
+    in one stack; ``runs`` walks the slices that way.  Each sample's
+    partition average against ``p`` is taken once, when ``averages`` is
+    first read; a stack that is only costed needs no partition.  Only the
+    samples some slice reads are kept.  Without ``j`` and ``w``, each of
+    ``samples`` is one slice.  ``brackets`` holds each bracket's alignment,
+    keyed by its pair of samples; a sampled demand passes its own, so that
+    a bracket is aligned once in the demand's lifetime.
     """
 
     def __init__(self, samples, p=None, j=None, w=None, brackets=None):
-        if j is None:
-            index = {}  # first-seen order, as the dict below keeps it
-            j = [index.setdefault(id(q), len(index)) for q in samples]
-            samples = list({id(q): q for q in samples}.values())
-        j = np.asarray(j, int)
+        j = np.arange(len(samples)) if j is None else np.asarray(j, int)
         self.w = np.zeros(len(j)) if w is None else np.asarray(w, float)
         used = self.reads(j, self.w)
         self.j = np.searchsorted(used, j)
@@ -178,22 +173,25 @@ class DemandStack:
         """The stack of slices ``k`` alone, sharing this one's bracket alignments."""
         return DemandStack(self.samples, self.p, self.j[k], self.w[k], self.brackets)
 
+    def runs(self):
+        """The slices in runs ``(i, k, inside)``, in order of ``i``, sample before bracket.
+
+        ``k`` indexes the slices at sample ``i``, or, ``inside``, those
+        strictly inside the bracket from sample ``i`` to ``i + 1``.
+        """
+        run = 2 * self.j + (self.w != 0)
+        order = np.argsort(run, kind="stable")
+        for k in np.split(order, np.flatnonzero(np.diff(run[order])) + 1):
+            i, inside = divmod(int(run[k[0]]), 2)
+            yield i, k, bool(inside)
+
     def bracket(self, i, w):
         """Breakpoints and rows of the blends of samples ``i`` and ``i + 1`` at weights ``w``."""
         return _blend_pair(self.samples[i], self.samples[i + 1], w, self.brackets)
 
     def blend(self, cols):
-        """Per-slice columns from per-sample ones: ``(1 - w) c_j + w c_{j+1}``.
-
-        A slice at a sample takes that sample's column as it is.  ``np.take``
-        keeps the result C-contiguous, as a matrix filled column by column
-        would be, so reductions along its rows sum in the same order.
-        """
-        out = np.take(cols, self.j, axis=-1)
-        mid = np.flatnonzero(self.w != 0)
-        w, nxt = self.w[mid], np.take(cols, self.j[mid] + 1, axis=-1)
-        out[..., mid] = (1.0 - w) * out[..., mid] + w * nxt
-        return out
+        """Per-slice columns from per-sample ones: ``(1 - w) c_j + w c_{j+1}``."""
+        return _pwlin.blend(cols, self.j, self.w, axis=-1)
 
 
 def _blend_pair(qa, qb, w, brackets):
@@ -206,8 +204,7 @@ def _blend_pair(qa, qb, w, brackets):
     if (qa, qb) not in brackets:
         brackets[qa, qb] = _pwlin.align([(qa.z, qa.values), (qb.z, qb.values)])
     z, V = brackets[qa, qb]
-    w = np.asarray(w, float)[..., None]
-    return z, (1.0 - w) * V[0] + w * V[1]
+    return z, _pwlin.blend(V, np.zeros(np.shape(w), int), w)
 
 
 def limit_constant_K(t_grid, qd_slices, p):
@@ -215,25 +212,27 @@ def limit_constant_K(t_grid, qd_slices, p):
 
     ``qd_slices`` holds the demand quantile at each time in ``t_grid``, as
     a ``DemandStack`` (averaged against its own partition) or as a plain
-    list of slices, the degenerate stack against ``p``.  A slice at a
-    sample takes the sample's residual integral.  The slices strictly
-    inside a bracket integrate the blended residual ``(1 - w) (q_j -
-    qbar_j) + w (q_{j+1} - qbar_{j+1})`` as one stack, on one alignment of
-    the four curves.  The z-integrals are exact; the time integral uses the
+    list of slices, each its own sample, averaged against ``p``.  The
+    stack's ``runs`` give the work: the slices at a sample take the
+    sample's residual integral, taken once; the slices strictly inside a
+    bracket integrate the blended residual ``(1 - w) (q_j - qbar_j) + w
+    (q_{j+1} - qbar_{j+1})`` as one stack, on one alignment of the four
+    curves.  The z-integrals are exact; the time integral uses the
     trapezoid rule on the given grid.  Zero exactly when every slice is
     already partition-piecewise-constant.
     """
     t_grid = np.asarray(t_grid, float)
     s = qd_slices if isinstance(qd_slices, DemandStack) else DemandStack(qd_slices, p)
-    residues = np.array([_pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values)
-                         for qd, qbar in zip(s.samples, s.averages)])[s.j]
-    inside = s.w != 0
-    for i in np.unique(s.j[inside]):
-        k = np.flatnonzero(inside & (s.j == i))
-        curves = (s.samples[i], s.averages[i], s.samples[i + 1], s.averages[i + 1])
-        z, V = _pwlin.align([(c.z, c.values) for c in curves])
-        w = s.w[k, None]
-        residues[k] = _pwlin.integral_sq(z, (1.0 - w) * (V[0] - V[1]) + w * (V[2] - V[3]))
+    residues = np.empty(len(s))
+    for i, k, inside in s.runs():
+        if inside:
+            curves = (s.samples[i], s.averages[i], s.samples[i + 1], s.averages[i + 1])
+            z, V = _pwlin.align([(c.z, c.values) for c in curves])
+            R = _pwlin.blend(V[0::2] - V[1::2], np.zeros(len(k), int), s.w[k])
+            residues[k] = _pwlin.integral_sq(z, R)
+        else:
+            qd, qbar = s.samples[i], s.averages[i]
+            residues[k] = _pwlin.integral_sq_diff(qbar.z, qbar.values, qd.z, qd.values)
     if len(t_grid) == 1:
         return float(residues[0])
     return float(np.trapezoid(residues, t_grid))

@@ -12,14 +12,16 @@ solution.  In between, the scalar problems are arrays with one entry per
 problem: a cell mask, the percentile span ``[z_lo, z_hi]`` (one point for a
 singleton) and a right-limit mask; the reassembly nodes point into them
 through ``node_problem``.  Their demand matrix and the floor ``K`` come
-from a ``DemandStack``: work per demand sample, blended per slice.  The
-static regime collapses to an error-feedback law whose trajectory
-traverses the Wasserstein geodesic toward the nearest reachable density;
-the periodic regime makes the general discretisation cyclic on one closed
-period, where it is a zero-phase low-pass filter per harmonic.  Demand
-signals keep no per-time cache: a solve queries a sampled demand once per
-sample some slice reads, a periodic demand once per distinct phase, and any
-other demand once per grid time.
+from a ``DemandStack``: work per demand sample, blended per slice.  Every
+stack of rows indexed by time, of the demand or of the reassembled field,
+is read through ``_pwlin.bracket`` and ``_pwlin.blend``.  The static
+regime collapses to an error-feedback law whose trajectory traverses the
+Wasserstein geodesic toward the nearest reachable density; the periodic
+regime makes the general discretisation cyclic on one closed period, where
+it is a zero-phase low-pass filter per harmonic.  Demand signals keep no
+per-time cache: a solve queries a static demand once, a sampled demand
+once per sample some slice reads, a periodic demand once per distinct
+phase, and any other demand once per grid time.
 """
 
 import logging
@@ -34,7 +36,7 @@ from .measures import (Density, QuantileFunction, density_from_quantile,
 from .partition import (DemandStack, LevelSetPartition, _blend_pair,
                         average_wrt_partition, build_partition, limit_constant_K)
 from .transport import (DensityPath, GridQuantileVelocity, QuantilePath,
-                        QuantileReassembledVelocity, VelocityField, _time_blend)
+                        QuantileReassembledVelocity, VelocityField)
 
 MOTION_IDENTITY_TOL = 1e-8
 REFINE = 128  # pieces per unit percentile of the scalar problems' rising stretches
@@ -57,8 +59,7 @@ class DemandSignal:
     def stack(self, t, p=None):
         """The ``DemandStack`` of the slices at the times ``t``, averaged against ``p``.
 
-        Each time is queried once; slices the query returns as one object
-        are one sample.
+        Each time is queried once, and each slice is its own sample.
         """
         return DemandStack([self.quantile_at(tk) for tk in t], p)
 
@@ -75,6 +76,10 @@ class StaticDemand(DemandSignal):
         if self._quantile is None:  # one quantile, shared by every time
             self._quantile = super().quantile_at(0.0)
         return self._quantile
+
+    def stack(self, t, p=None):
+        """The one sample, read at every time ``t``."""
+        return DemandStack([self.quantile_at(0.0)], p, np.zeros(len(t), int))
 
 
 class PeriodicDemand(DemandSignal):
@@ -123,25 +128,8 @@ class SampledDemand(DemandSignal):
     def density_at(self, t):
         return density_from_quantile(self.quantile_at(t))
 
-    def bracket(self, t):
-        """Sample index ``j`` and blend weight ``w`` at each of the times ``t``.
-
-        The slice at ``t`` is ``(1 - w) q_j + w q_{j+1}``; ``w == 0`` means it
-        is sample ``j`` itself, and a weight that reaches 1 maps to sample
-        ``j + 1`` with ``w == 0``.  Times outside the sample range clip to
-        its ends.
-        """
-        t = np.clip(np.asarray(t, float), self.times[0], self.times[-1])
-        last = len(self.times) - 1
-        if last == 0:
-            return np.zeros(t.shape, int), np.zeros(t.shape)
-        j = np.clip(self.times.searchsorted(t, side="right") - 1, 0, last - 1)
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
-        at_next = w == 1.0
-        return j + at_next, np.where(at_next, 0.0, w)
-
     def quantile_at(self, t):
-        j, w = self.bracket(t)
+        j, w = _pwlin.bracket(self.times, t)
         j, w = int(j), float(w)
         if w == 0.0:
             return self._slices[j]
@@ -154,7 +142,7 @@ class SampledDemand(DemandSignal):
         Only the samples some slice reads are queried, each once, at its
         own sample time, where ``quantile_at`` returns the sample itself.
         """
-        j, w = self.bracket(t)
+        j, w = _pwlin.bracket(self.times, t)
         used = DemandStack.reads(j, w)
         samples = dict(zip(used, (self.quantile_at(s) for s in self.times[used])))
         return DemandStack(samples, p, j, w, self._brackets)
@@ -348,18 +336,14 @@ def _problem_structure(q0, refine=0, knots=()):
 def _demand_matrix(problems, stack):
     """Per-problem demand samples, one column per time slice of ``stack``.
 
+    ``stack`` is a ``DemandStack`` averaged against the problems' cells.
     Cell problems take the exact mean of the slice quantile over the cell,
     which the partition average holds as its right limit at the cell start;
     point problems take the one-sided slice value at their percentile.  Both
-    are linear in the slice, so one column per sample of the ``DemandStack``
-    is blended per slice.  A plain list of slices is the degenerate stack,
-    averaged against the problems' own cells.
+    are linear in the slice, so one column per sample is blended per slice.
     """
     cell, right = problems.cell, problems.right
     left = ~cell & ~right
-    if not isinstance(stack, DemandStack):
-        cells = np.column_stack([problems.z_lo[cell], problems.z_hi[cell]])
-        stack = DemandStack(stack, LevelSetPartition(cells, problems.r0[cell]))
     cols = np.empty((len(problems.r0), len(stack.samples)))
     for k, (qd, qbar) in enumerate(zip(stack.samples, stack.averages)):
         cols[cell, k] = qbar(problems.z_lo[cell], side="right")
@@ -489,6 +473,8 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         return _static_rows(self.params, t, self.q0_vals, self.qbar_vals)
 
     def slice_arrays(self, t):
+        if np.ndim(t):
+            return self._row(np.asarray(t, float)[:, None])
         t = float(t)
         k = int(np.searchsorted(self.t_nodes, t))
         if k < len(self.t_nodes) and self.t_nodes[k] == t:
@@ -527,7 +513,8 @@ def solve_static(scenario, save_every=1):
     t_grid = np.linspace(0.0, T, nt + 1)
     q0 = quantile_of(scenario.resource)
     part = build_partition(q0)
-    qd = scenario.demand.quantile_at(0.0)
+    stack = scenario.demand.stack(t_grid)
+    qd = stack.samples[0]
     qbar = average_wrt_partition(qd, part)
 
     z_nodes, V = _pwlin.align([(q0.z, q0.values), (qbar.z, qbar.values)])
@@ -547,7 +534,6 @@ def solve_static(scenario, save_every=1):
         np.broadcast_to(dbar, r_cells.shape).copy(),
         lq.static_cost(params, r_cells[:, 0], dbar[:, 0]),
         labels=[f"cell{c}" for c in range(part.n_cells)], weights=part.masses)
-    stack = DemandStack([qd], j=np.zeros(len(t_grid), int))
     return _finish(scenario, t_grid, stack, vel, closed, K, part, family, save_every,
                    closed_form_cost=closed)
 
@@ -556,8 +542,7 @@ class PeriodicVelocity(QuantileReassembledVelocity):
     """Steady-state field over one period, extended periodically in time."""
 
     def slice_arrays(self, t):
-        period = self.t_nodes[-1]
-        return super().slice_arrays(float(t) % period)
+        return super().slice_arrays(np.asarray(t) % self.t_nodes[-1])
 
 
 def solve_periodic(scenario):
@@ -628,13 +613,12 @@ def _warmup_path(scenario, problems, vel, n_steps=200):
     ``[0, 3 alpha]`` it is ``r_ss(t) + exp(-t/alpha) (r(0) - r_ss(0))``.
     """
     alpha = scenario.alpha
-    period = vel.t_nodes[-1]
     tw = np.linspace(0.0, 3.0 * alpha, n_steps + 1)
     r0 = problems.r0[problems.node_problem].astype(float)
-    decay = np.exp(-tw / alpha)
+    decay = np.exp(-tw / alpha)[:, None]
+    r_ss = _pwlin.blend(vel.Q, *_pwlin.bracket(vel.t_nodes, tw % vel.t_nodes[-1]))
     # r0 + (r_ss - r_ss) at t = 0, so the first row is the initial resource exactly
-    rows = [w * r0 + (_time_blend(vel.t_nodes, vel.Q, t % period) - w * vel.Q[0])
-            for t, w in zip(tw, decay)]
+    rows = decay * r0 + (r_ss - decay * vel.Q[0])
     return QuantilePath(tw, vel.z_nodes, np.maximum.accumulate(rows, axis=1),
                         scenario.resource.domain)
 
@@ -671,8 +655,7 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
                         for qr, qd in zip(quantiles, demand)])
         quantile = quantiles.__getitem__
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
-        U = np.vstack([velocity.slice_arrays(tj)[1] for tj in t])
-        mz_t = _pwlin.integral_sq(velocity.z_nodes, U)
+        mz_t = _pwlin.integral_sq(velocity.z_nodes, velocity.slice_arrays(t)[1])
     else:
         mz_t = np.array([_motion_z(quantile(j), velocity, t[j]) for j in range(n)])
     mx_t = np.empty(n)
@@ -706,10 +689,7 @@ def _assignment_rows(path, stack):
     """
     rows = np.maximum.accumulate(path.Q, axis=-1)
     a_t = np.empty(len(path))
-    run = 2 * stack.j + (stack.w != 0)  # at sample i: 2i; inside bracket i: 2i + 1
-    order = np.argsort(run, kind="stable")
-    for k in np.split(order, np.flatnonzero(np.diff(run[order])) + 1):
-        i, inside = divmod(int(run[k[0]]), 2)
+    for i, k, inside in stack.runs():
         qd = stack.samples[i]
         curve = stack.bracket(i, stack.w[k]) if inside else (qd.z, qd.values)
         a_t[k] = _pwlin.integral_sq_diff(path.z_nodes, rows[k], *curve)
@@ -750,15 +730,10 @@ def _motion_x(r, velocity, t, min_sub=4):
 def _motion_z(qr, velocity, t):
     """Percentile quadrature of ``V(Q(z, t), t)^2`` over [0, 1].
 
-    Fields that carry their percentile samples are integrated from the
-    ``U`` row directly: ``U`` is affine between consecutive nodes, so each
-    segment of positive length contributes ``dz (u0^2 + u0 u1 + u1^2) / 3``
-    exactly, and a duplicated node (a jump) only switches to the right
-    limit; the nodes span [0, 1].  Generic fields are composed with the
-    slice quantile and integrated with interior Gauss nodes.
+    The field is composed with the slice quantile and integrated with
+    interior Gauss nodes.  ``evaluate_cost`` integrates a field that carries
+    its percentile rows from its ``U`` rows instead.
     """
-    if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
-        return float(_pwlin.integral_sq(velocity.z_nodes, velocity.slice_arrays(t)[1]))
     z = qr.z
     x_nodes = qr.values
     dz = np.diff(z)

@@ -171,9 +171,9 @@ def test_criterion_4_periodic_filter():
         worst_lag = max(worst_lag, abs(range(-6, 7)[int(np.argmax(cors))]))
     assert worst_lag <= 1
 
-    # frequency-domain average cost vs 5-period time-domain integration
-    from test_regimes import _five_period_time_domain_cost
-    rel_sine = abs(_five_period_time_domain_cost(sol, alpha) - sol.cost) / sol.cost
+    # frequency-domain average cost vs a time-domain integration
+    from test_regimes import _time_domain_cost
+    rel_sine = abs(_time_domain_cost(sol, alpha) - sol.cost) / sol.cost
 
     res11 = Density((-2, 12), atoms=np.column_stack(
         [np.linspace(2, 8, 11), eleven_atom_resource().atom_m]))
@@ -184,7 +184,7 @@ def test_criterion_4_periodic_filter():
     scen2 = Scenario(res11, mix, alpha=0.08, horizon=None, nt=128, n_harmonics=32)
     sol2 = solve_periodic(scen2)
     _register("periodic-mixture", sol2)
-    rel_mix = abs(_five_period_time_domain_cost(sol2, 0.08) - sol2.cost) / sol2.cost
+    rel_mix = abs(_time_domain_cost(sol2, 0.08) - sol2.cost) / sol2.cost
     elapsed = time.perf_counter() - t0
     assert rel_sine <= 0.01
     assert rel_mix <= 0.01

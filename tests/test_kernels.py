@@ -19,10 +19,10 @@ from swarmlq import (Density, DensityPath, QuantileFunction, QuantilePath, _pwli
 from swarmlq.measures import densities_l1_distance
 from swarmlq.partition import (DemandStack, LevelSetPartition, average_wrt_partition,
                                build_partition, cell_means, limit_constant_K)
-from swarmlq.regimes import (PeriodicDemand, SampledDemand, Scenario, StaticOptimalVelocity,
-                             _assignment_rows, _demand_jump_knots, _demand_matrix,
-                             _densities_from_rows, _motion_x, _motion_z, _problem_structure,
-                             evaluate_cost, solve_general, solve_static)
+from swarmlq.regimes import (PeriodicDemand, PeriodicVelocity, SampledDemand, Scenario,
+                             StaticOptimalVelocity, _assignment_rows, _demand_jump_knots,
+                             _demand_matrix, _densities_from_rows, _motion_x,
+                             _problem_structure, evaluate_cost, solve_general, solve_static)
 from swarmlq.transport import CallableVelocity, QuantileReassembledVelocity
 
 from helpers import random_density, random_scenario, reference_static_scenario
@@ -672,10 +672,10 @@ def _offset_demand_matrix_and_K(shift, sampled):
     if sampled:
         demand = SampledDemand(np.arange(5.0), dens)
         t = np.linspace(0.0, 4.5, 15)
-        slices = DemandStack(demand._slices, p, *demand.bracket(t))
+        slices = DemandStack(demand._slices, p, *_pwlin.bracket(demand.times, t))
     else:
         t = np.linspace(0.0, 1.0, 5)
-        slices = [quantile_of(d) for d in dens]
+        slices = DemandStack([quantile_of(d) for d in dens], p)
     return _demand_matrix(problems, slices), limit_constant_K(t, slices, p)
 
 
@@ -703,18 +703,18 @@ def test_demand_stack_matches_per_slice_references(case):
     d_want = _ref_demand_matrix(problems, slices)
     K_want = _ref_limit_constant_K(t, slices, p)
     tol = 4 * np.spacing(max(1.0, np.max(np.abs(d_want))))
-    # a plain list of slices is the degenerate stack: the same arithmetic,
-    # except that a cell reads the mean its partition average holds, which
-    # the quantile's monotone guard lifts where it rounded below the value
-    # just before the cell
-    d_plain = _demand_matrix(problems, slices)
+    # a stack of the slices themselves, each its own sample: the same
+    # arithmetic, except that a cell reads the mean its partition average
+    # holds, which the quantile's monotone guard lifts where it rounded below
+    # the value just before the cell
+    d_plain = _demand_matrix(problems, DemandStack(slices, p))
     cell = problems.cell
     assert np.array_equal(d_plain[~cell], d_want[~cell])
     lift = d_plain[cell] - d_want[cell]
     assert np.all((lift >= 0) & (lift <= tol))
     assert limit_constant_K(t, slices, p) == K_want
     # per-sample columns and residuals, blended per slice: rounding only
-    stack = DemandStack(demand._slices, p, *demand.bracket(t))
+    stack = DemandStack(demand._slices, p, *_pwlin.bracket(demand.times, t))
     assert np.max(np.abs(_demand_matrix(problems, stack) - d_want)) <= tol
     q_max = max(np.max(np.abs(q.values)) for q in demand._slices)
     assert abs(limit_constant_K(t, stack, p) - K_want) <= 1e-15 * t[-1] * max(1.0, q_max) ** 2
@@ -731,7 +731,7 @@ def test_bracket_blends_equal_quantile_at(dens, data):
     # at the samples, one ulp either side of them, between them and outside
     ts = np.concatenate([times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
                          inside, [times[0] - 1.0, times[-1] + 1.0]])
-    j, w = demand.bracket(ts)
+    j, w = _pwlin.bracket(demand.times, ts)
     assert np.all((0.0 <= w) & (w < 1.0))
     assert np.all(j[w > 0] < len(times) - 1)
     for tk, jk, wk in zip(ts, j, w):
@@ -859,7 +859,7 @@ def test_motion_z_of_percentile_rows_equals_two_curve_integral(q, data):
     rows = np.vstack([q.values, q.values])
     vel = QuantileReassembledVelocity([0.0, 1.0], z, rows, np.vstack([u, u]))
     want = _pwlin.integral_sq_diff(z, u, np.array([0.0, 1.0]), np.zeros(2))
-    assert _motion_z(q, vel, 0.5) == want
+    assert _pwlin.integral_sq(z, vel.slice_arrays(0.5)[1]) == want
 
 
 @PROPERTY
@@ -877,6 +877,77 @@ def test_static_velocity_slice_arrays_equal_exact_rows(case, fractions, k):
         q_want, u_want = vel._row(float(t))
         assert np.array_equal(q_row, q_want)
         assert np.array_equal(u_row, u_want)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=8, unique=True),
+       st.integers(0, 2 ** 32 - 1))
+def test_bracket_and_blend_hit_nodes_clip_and_match_scalar_calls(nodes, seed):
+    nodes = np.sort(np.asarray(nodes))
+    n = len(nodes)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, 5))
+    rows[rng.random((n, 5)) < 0.2] = -0.0  # a sign a blend with zero weight would lose
+    # each node is its own row, even when the next row is not finite
+    j, w = _pwlin.bracket(nodes, nodes)
+    assert np.array_equal(j, np.arange(n)) and np.all(w == 0.0)
+    for i in range(n):
+        bad = rows.copy()
+        bad[min(i + 1, n - 1):] = np.nan if i % 2 else np.inf
+        bad[i] = rows[i]
+        got = _pwlin.blend(bad, j[i], w[i])
+        assert got.tobytes() == rows[i].tobytes()
+        assert _pwlin.blend(bad, j[i:i + 1], w[i:i + 1])[0].tobytes() == rows[i].tobytes()
+    # outside the nodes: the end rows
+    j, w = _pwlin.bracket(nodes, [nodes[0] - 1.0, nodes[-1] + 1.0])
+    assert list(j) == [0, n - 1] and list(w) == [0.0, 0.0]
+    # scalar and vector times give the same bits, along either axis
+    ts = np.concatenate([nodes, rng.uniform(nodes[0] - 1.0, nodes[-1] + 1.0, 6),
+                         np.nextafter(nodes, np.inf)])
+    j, w = _pwlin.bracket(nodes, ts)
+    assert np.all((0.0 <= w) & (w < 1.0)) and np.all(j[w > 0] < n - 1)
+    got = _pwlin.blend(rows, j, w)
+    cols = _pwlin.blend(rows.T, j, w, axis=-1)
+    assert got.flags.c_contiguous and cols.flags.c_contiguous
+    assert cols.T.tobytes() == got.tobytes()
+    for t, row in zip(ts, got):
+        jt, wt = _pwlin.bracket(nodes, t)
+        assert np.ndim(jt) == 0 and np.ndim(wt) == 0
+        assert _pwlin.blend(rows, jt, wt).tobytes() == row.tobytes()
+        if wt:
+            assert np.array_equal(row, (1.0 - wt) * rows[jt] + wt * rows[jt + 1])
+
+
+def test_bracket_weight_rounding_to_one_takes_the_next_node():
+    # t - nodes[0] and nodes[1] - nodes[0] both round to 1
+    nodes = np.array([-1.0, 1e-20])
+    j, w = _pwlin.bracket(nodes, 0.5e-20)
+    assert (j, w) == (1, 0.0)
+    rows = np.array([[1.0, -0.0], [2.0, 3.0]])
+    assert _pwlin.blend(rows, j, w).tobytes() == rows[1].tobytes()
+
+
+def test_vector_slice_arrays_equal_stacked_scalar_calls():
+    rng = np.random.default_rng(5)
+    z = np.linspace(0.0, 1.0, 12)
+    t_nodes = np.linspace(0.0, 2.0, 9)
+    Q = np.sort(rng.uniform(0.0, 10.0, (9, 12)), axis=-1)
+    U = rng.normal(size=(9, 12))
+    params = lq.LQParams(0.5, 2.0, 8)
+    fields = [QuantileReassembledVelocity(t_nodes, z, Q, U),
+              StaticOptimalVelocity(params, z, Q[0], Q[-1], t_nodes),
+              PeriodicVelocity(t_nodes, z, Q, U)]
+    off_grid = rng.uniform(-0.5, 2.5, 5)
+    for vel in fields:
+        # grid and off-grid times; past the last node, which for the
+        # periodic field is more than one period
+        ts = np.concatenate([t_nodes, off_grid, t_nodes + 2.0, [4.7, 6.25]])
+        Qv, Uv = vel.slice_arrays(ts)
+        assert Qv.flags.c_contiguous and Uv.flags.c_contiguous
+        for k, t in enumerate(ts):
+            q_row, u_row = vel.slice_arrays(t)
+            assert Qv[k].tobytes() == q_row.tobytes()
+            assert Uv[k].tobytes() == u_row.tobytes()
 
 
 def test_demand_jump_knots_cap_is_logged(caplog):
@@ -939,10 +1010,10 @@ def test_stacked_motion_term_equals_per_slice_calls(seed, n, m):
     Q = np.sort(rng.uniform(0.0, 10.0, (m, n)), axis=-1)
     vel = QuantileReassembledVelocity(t_nodes, z, Q, rng.normal(size=(m, n)))
     ts = np.concatenate([t_nodes, rng.uniform(t_nodes[0], t_nodes[-1], 3)])
-    got = _pwlin.integral_sq(vel.z_nodes, np.vstack([vel.slice_arrays(t)[1] for t in ts]))
+    got = _pwlin.integral_sq(vel.z_nodes, vel.slice_arrays(ts)[1])
     for g, t in zip(got, ts):
-        q = QuantileFunction(z, vel.slice_arrays(t)[0])
-        assert g == _motion_z(q, vel, t) == _ref_motion_z_row(z, vel.slice_arrays(t)[1])
+        u = vel.slice_arrays(t)[1]
+        assert g == _pwlin.integral_sq(z, u) == _ref_motion_z_row(z, u)
 
 
 @PROPERTY

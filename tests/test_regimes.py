@@ -344,22 +344,34 @@ def test_periodic_mixture_freq_cost_matches_time_domain():
                                   nx=300)
     scen = Scenario(res, dem, alpha=0.08, horizon=None, nt=128, n_harmonics=32)
     sol = solve_periodic(scen)
-    time_cost = _five_period_time_domain_cost(sol, alpha=0.08)
-    assert time_cost == pytest.approx(sol.cost, rel=0.01)
+    time_cost = _time_domain_cost(sol, alpha=0.08)
+    assert time_cost == pytest.approx(sol.cost, rel=1e-4)
     # larger alpha moves less: motion integral decreases
     sol_big = solve_periodic(Scenario(res, dem, alpha=0.8, horizon=None,
                                       nt=128, n_harmonics=32))
     assert sol_big.breakdown.motion < sol.breakdown.motion
 
 
-def _five_period_time_domain_cost(sol, alpha, n_periods=5):
-    """Steady-state average cost via exact-kernel two-pass ODE integration."""
+def _time_domain_cost(sol, alpha, substeps=16):
+    """Steady-state average cost over one period, by exact-kernel passes in time.
+
+    The reference is the piecewise-linear signal through the family's
+    samples, with each step cut into ``substeps`` pieces.  The anti-causal
+    pass is exact per piece; the causal pass takes ``y`` as linear on each
+    piece and the cost is a trapezoid, both ``O(piece^2)``.  At least ``40
+    alpha`` of lead-in and lead-out around the measured period let the
+    transients of both ends decay.
+    """
     period = sol.period
     nt = len(sol.family.t) - 1
-    n_sim = nt * n_periods
-    dt = period / nt
-    d = np.tile(sol.family.d[:, :-1], n_periods)
+    lead = int(np.ceil(40.0 * alpha / period))  # whole periods on each side
+    d = np.tile(sol.family.d[:, :-1], 2 * lead + 1)
     d = np.column_stack([d, d[:, :1]])
+    frac = np.arange(substeps) / substeps
+    pieces = d[:, :-1, None] + frac * np.diff(d, axis=1)[:, :, None]
+    d = np.column_stack([pieces.reshape(len(d), -1), d[:, -1]])
+    n_sim = d.shape[1] - 1
+    dt = period / (nt * substeps)
     tt = np.arange(n_sim + 1) * dt
     h = dt / alpha
     emh = np.exp(-h)
@@ -380,8 +392,8 @@ def _five_period_time_domain_cost(sol, alpha, n_periods=5):
         r[:, k + 1] = emh * r[:, k] - (y[:, k] * I0 + ms[:, k] * I1f) / alpha ** 2
     u = -(alpha * r + y) / alpha ** 2
     integrand = (r - d) ** 2 + alpha ** 2 * u ** 2
-    mid = (tt >= period) & (tt <= (n_periods - 1) * period)
-    J = np.trapezoid(integrand[:, mid], tt[mid], axis=1) / ((n_periods - 2) * period)
+    window = slice(lead * nt * substeps, (lead + 1) * nt * substeps + 1)
+    J = np.trapezoid(integrand[:, window], tt[window], axis=1) / period
     return float(np.sum(sol.family.weights * J)) + sol.breakdown.limit / period
 
 

@@ -165,6 +165,22 @@ def test_transform_checks_companion_density():
         from_quantile_coords(q, u, T=1.0, nt=10, r_companion=other)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_companion_check_scales_with_the_quantile(offset):
+    # at 1e9 a companion one ulp off at every cell edge is 1.4e-14 off in
+    # squared L2, only rounding; half the spread off is a different density
+    edges = offset + np.linspace(0.0, 10.0, 11)
+    vals = np.random.default_rng(3).uniform(0.5, 1.5, 10)
+    domain = (offset - 1.0, offset + 16.0)
+    q = quantile_of(Density(domain, edges=edges, values=vals, normalize=True))
+    u = CallableQuantileVelocity(lambda z, t: np.ones_like(z))
+    ulp = Density(domain, edges=np.nextafter(edges, np.inf), values=vals, normalize=True)
+    from_quantile_coords(q, u, T=1.0, nt=4, r_companion=ulp)
+    shifted = Density(domain, edges=edges + 5.0, values=vals, normalize=True)
+    with pytest.raises(ValueError, match="companion"):
+        from_quantile_coords(q, u, T=1.0, nt=4, r_companion=shifted)
+
+
 def test_single_atom_pullback_is_uniform_in_z():
     d = Density((0, 10), atoms=[(4.0, 1.0)])
     v = CallableVelocity(lambda x, t: 0.3 * x + 0.1 * t)
