@@ -138,8 +138,8 @@ def merged_grid(*xs):
     return np.unique(np.concatenate(xs))
 
 
-def integral_sq_diff(xa, va, xb, vb, lo=None, hi=None):
-    """Exact integral of ``(A - B)**2`` over ``[lo, hi]``.
+def integral_sq_diff(xa, va, xb, vb):
+    """Exact integral of ``(A - B)**2`` over the span of both curves' breakpoints.
 
     Both curves are affine between merged breakpoints, so the integrand is
     quadratic per segment and the closed form
@@ -148,10 +148,6 @@ def integral_sq_diff(xa, va, xb, vb, lo=None, hi=None):
     equal bit for bit to the integral of its row alone.
     """
     grid = merged_grid(xa, xb)
-    if lo is not None or hi is not None:
-        lo = grid[0] if lo is None else lo
-        hi = grid[-1] if hi is None else hi
-        grid = np.unique(np.clip(np.concatenate([grid, [lo, hi]]), lo, hi))
     dz = np.diff(grid)
     a0, a1 = segment_endpoints(xa, va, grid)
     b0, b1 = segment_endpoints(xb, vb, grid)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pwlin
-from .measures import Density, densities_l1_distance, quantile_of
+from .measures import Density, _cell_grid, densities_l1_distance, quantile_of
 
 MARGINAL_TOL = 1e-9
 
@@ -56,53 +56,41 @@ class AssignmentPlan:
 
 
 def _marginal(rows, domain):
-    """Density of one side of the plan: flats become atoms, ramps cells."""
-    atoms = {}
-    cells = []
-    for m, a, b in rows:
-        if m <= 0:
-            continue
-        if b > a:
-            cells.append((a, b, m / (b - a)))
-        else:
-            atoms[a] = atoms.get(a, 0.0) + m
-    cells.sort()
-    edges, values = [], []
-    for a, b, v in cells:
-        if edges and a < edges[-1] - 1e-15 * max(1.0, abs(a)):  # rounding, at any offset
-            raise ValueError("comonotone plan has overlapping ramps")
-        if not edges:
-            edges.append(a)
-        elif a > edges[-1]:
-            edges.append(a)
-            values.append(0.0)
-        edges.append(b)
-        values.append(v)
-    pts = [a for a in atoms] + edges
+    """Density of one side of the plan: flats become atoms, ramps cells.
+
+    Rows of mass ``<= 0`` are skipped (a NaN mass reaches ``Density``, which
+    rejects it); ``Density`` merges the atoms.
+    """
+    m, a, b = rows[~(rows[:, 0] <= 0)].T
+    ramp = b > a
+    a_r, b_r = a[ramp], b[ramp]
+    v = m[ramp] / (b_r - a_r)
+    order = np.lexsort((v, b_r, a_r))
+    a_r, b_r, v = a_r[order], b_r[order], v[order]
+    slack = 1e-15 * np.maximum(1.0, np.abs(a_r[1:]))  # rounding, at any offset
+    if np.any(a_r[1:] < b_r[:-1] - slack):
+        raise ValueError("comonotone plan has overlapping ramps")
+    edges, values = _cell_grid(a_r, b_r, v)
+    atoms = np.column_stack([a[~ramp], m[~ramp]])
     if domain is None:
-        domain = (min(pts), max(pts)) if pts else (0.0, 1.0)
-    return Density(domain,
-                   atoms=[(x, m) for x, m in sorted(atoms.items())] or None,
-                   edges=np.asarray(edges), values=np.asarray(values),
-                   normalize=False)
+        pts = np.concatenate([atoms[:, 0], edges])
+        domain = (pts.min(), pts.max()) if len(pts) else (0.0, 1.0)
+    return Density(domain, atoms=atoms, edges=edges, values=values, normalize=False)
 
 
 def optimal_plan(r, d):
     """Comonotone (monotone-rearrangement) coupling of two densities.
 
     Realizes the squared 2-Wasserstein distance; in particular
-    ``plan_cost(optimal_plan(r, d)) == wasserstein2(r, d)**2``.
+    ``plan_cost(optimal_plan(r, d)) == wasserstein2(r, d)**2``.  The plan's
+    segments are the positive-length segments of the aligned quantiles.
     """
     qr = quantile_of(r)
     qd = quantile_of(d)
     z, V = _pwlin.align([(qr.z, qr.values), (qd.z, qd.values)])
-    segs = []
-    for k in range(len(z) - 1):
-        dz = z[k + 1] - z[k]
-        if dz <= 0:
-            continue
-        segs.append((dz, V[0, k], V[0, k + 1], V[1, k], V[1, k + 1]))
-    return AssignmentPlan(np.asarray(segs))
+    dz = np.diff(z)
+    k = np.flatnonzero(dz > 0)
+    return AssignmentPlan(np.column_stack([dz[k], V[0, k], V[0, k + 1], V[1, k], V[1, k + 1]]))
 
 
 def plan_from_couplings(couplings):

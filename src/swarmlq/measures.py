@@ -354,15 +354,7 @@ def density_from_quantile(q, domain=None):
     flats = q.flat_intervals
     dz = np.diff(z)
     cell = (dz > 0) & (dv > 0)
-    a, b = v[:-1][cell], v[1:][cell]
-    # a cell adds its left edge where it opens the grid or a zero-mass gap
-    # precedes it; each gap becomes a zero-value cell
-    opens = np.ones(len(a), dtype=bool)
-    opens[1:] = a[1:] > b[:-1]
-    gap = opens.copy()
-    gap[:1] = False
-    edges = _interleave(a, b, opens)
-    values = _interleave(np.zeros(len(a)), dz[cell] / dv[cell], gap)
+    edges, values = _cell_grid(v[:-1][cell], v[1:][cell], dz[cell] / dv[cell])
     if domain is None:
         lo, hi = q.domain
         if not hi > lo:  # quantile constant: pad so the atom has a real interval
@@ -375,6 +367,19 @@ def density_from_quantile(q, domain=None):
         edges=edges,
         values=values,
     )
+
+
+def _cell_grid(a, b, values):
+    """Edges and values of the sorted cells ``[a, b]``, with each gap a zero-value cell.
+
+    A cell adds its left edge only where it opens the grid or a gap precedes
+    it; a cell that starts at or before the previous end continues the grid.
+    """
+    opens = np.ones(len(a), dtype=bool)
+    opens[1:] = a[1:] > b[:-1]
+    gap = opens.copy()
+    gap[:1] = False
+    return _interleave(a, b, opens), _interleave(np.zeros(len(a)), values, gap)
 
 
 def pushforward(d, f, nz=2048):

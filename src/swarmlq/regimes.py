@@ -470,7 +470,17 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         super().__init__(t_nodes, z_nodes, Q, U)
 
     def _row(self, t):
-        return _static_rows(self.params, t, self.q0_vals, self.qbar_vals)
+        """State ``phi_r q0 + (1 - phi_r) qbar``, control ``-(p/alpha^2) (state - qbar)``.
+
+        A column of times gives one row per time.
+        """
+        phi = lq.transition_r(self.params, t, 0.0)
+        row = phi * self.q0_vals  # in place below: t may be a whole time column
+        row += (1.0 - phi) * self.qbar_vals
+        p = lq.riccati(self.params)(t)
+        u = row - self.qbar_vals
+        u *= -(p / self.params.alpha ** 2)
+        return row, u
 
     def slice_arrays(self, t):
         if np.ndim(t):
@@ -480,21 +490,6 @@ class StaticOptimalVelocity(QuantileReassembledVelocity):
         if k < len(self.t_nodes) and self.t_nodes[k] == t:
             return self.Q[k], self.U[k]  # equal to ``_row(t)``, stored
         return self._row(t)
-
-
-def _static_rows(params, t, q0, qbar):
-    """Static-regime state ``phi_r q0 + (1 - phi_r) qbar`` and its control.
-
-    The control is ``-(p/alpha^2) (state - qbar)``; ``t`` broadcasts against
-    ``q0`` and ``qbar``, so a time column gives one row per time.
-    """
-    phi = lq.transition_r(params, t, 0.0)
-    row = phi * q0  # in place below: t may be a whole time column
-    row += (1.0 - phi) * qbar
-    p = lq.riccati(params)(t)
-    u = row - qbar
-    u *= -(p / params.alpha ** 2)
-    return row, u
 
 
 def solve_static(scenario, save_every=1):
@@ -527,8 +522,11 @@ def solve_static(scenario, save_every=1):
     closed = float(w2_reach ** 2 * alpha * np.tanh(T / alpha) + K)
 
     p_t = lq.riccati(params)(t_grid)
-    dbar = qbar(part.cells[:, 0], side="right")[:, None]  # the cell means, on each cell
-    r_cells, u_cells = _static_rows(params, t_grid, part.levels[:, None], dbar)
+    # each cell's rows are the field's at the cell's end node, whose first
+    # copy carries the left limits: the cell's level and its mean
+    end = np.searchsorted(z_nodes, part.cells[:, 1])
+    r_cells, u_cells = vel.Q.T[end], vel.U.T[end]
+    dbar = V[1, end][:, None]
     family = ScalarFamily(
         t_grid, p_t, -p_t * dbar, r_cells, u_cells,
         np.broadcast_to(dbar, r_cells.shape).copy(),
@@ -635,8 +633,13 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
     read from the quantile rows of a ``QuantilePath``; the
     motion term is computed twice, once in space (``int V^2 R dx``) and once
     in percentile coordinates (``int U^2 dz`` with ``U = V o Q``), and the
-    two must agree to ``MOTION_IDENTITY_TOL`` per slice.  With
-    ``average=True`` the integrals are divided by the spanned time.
+    two must agree to ``MOTION_IDENTITY_TOL`` per slice.  A field with
+    ``slice_arrays`` is read once: its ``U`` rows give the percentile
+    integral and its ``Q`` rows the spatial knots.  For any other field both
+    routes are Gauss rules on different pieces, which agree only where the
+    field is nearly quadratic on each, so a correct path under a curved field
+    (``sin(3x)``) can raise.  With ``average=True`` the integrals are
+    divided by the spanned time.
     """
     t = np.asarray(trajectory.t, float)
     n = len(t)
@@ -655,12 +658,14 @@ def evaluate_cost(trajectory, velocity, demand, alpha, average=False):
                         for qr, qd in zip(quantiles, demand)])
         quantile = quantiles.__getitem__
     if hasattr(velocity, "slice_arrays") and hasattr(velocity, "z_nodes"):
-        mz_t = _pwlin.integral_sq(velocity.z_nodes, velocity.slice_arrays(t)[1])
+        Q, U = velocity.slice_arrays(t)
+        mz_t = _pwlin.integral_sq(velocity.z_nodes, U)
     else:
+        Q = (None,) * n
         mz_t = np.array([_motion_z(quantile(j), velocity, t[j]) for j in range(n)])
     mx_t = np.empty(n)
     for j in range(n):
-        mx_t[j] = _motion_x(trajectory[j], velocity, t[j])
+        mx_t[j] = _motion_x(trajectory[j], velocity, t[j], Q[j])
         scale = max(1.0, abs(mx_t[j]))
         if abs(mx_t[j] - mz_t[j]) > MOTION_IDENTITY_TOL * scale:
             raise NumericalError(
@@ -699,19 +704,19 @@ def _assignment_rows(path, stack):
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)
 
 
-def _motion_x(r, velocity, t, min_sub=4):
+def _motion_x(r, velocity, t, knots=None, min_sub=4):
     """Spatial quadrature of ``V(x, t)^2`` against the density.
 
-    Cells are split at the velocity's own spatial knots when it exposes
-    them (otherwise into ``min_sub`` equal pieces), making the integrand
-    piecewise quadratic; two-point Gauss nodes (interior, so one-sided
-    limits at knots never matter) integrate each piece exactly.  The atoms
-    and both Gauss nodes of every piece go through one velocity call.
+    Cells are split at the field's spatial ``knots`` (its ``Q`` row at
+    ``t``), making the integrand piecewise quadratic, or else into
+    ``min_sub`` equal pieces; two-point Gauss nodes (interior, so one-sided
+    limits at knots never matter) integrate each piece.  The atoms and both
+    Gauss nodes of every piece go through one velocity call.
     """
     if not len(r.edges):  # atoms only: skip the piece bookkeeping
         return float(np.sum(r.atom_m * np.asarray(velocity(r.atom_x, t)) ** 2))
-    if hasattr(velocity, "slice_arrays"):
-        cuts, rho = r.cells_split_at(velocity.slice_arrays(t)[0])
+    if knots is not None:
+        cuts, rho = r.cells_split_at(knots)
         lo, hi = cuts[:-1], cuts[1:]
     else:
         pts = np.linspace(r.edges[:-1], r.edges[1:], min_sub + 1, axis=1)

@@ -2,14 +2,74 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_density
-from swarmlq import Density, wasserstein2
-from swarmlq.assignment import (_marginal, check_marginals, optimal_plan, plan_cost,
-                                plan_from_couplings)
+from swarmlq import Density, _pwlin, quantile_of, wasserstein2
+from swarmlq.assignment import (AssignmentPlan, _marginal, check_marginals, optimal_plan,
+                                plan_cost, plan_from_couplings)
+from swarmlq.measures import densities_l1_distance
 from swarmlq import oracle
 
 SEED = 555
+
+
+# ---------------------------------------------------------------------------
+# the per-row loops that the array code of ``_marginal`` and ``optimal_plan``
+# replaced, kept as references
+
+def _ref_marginal(rows, domain):
+    atoms = {}
+    cells = []
+    for m, a, b in rows:
+        if m <= 0:
+            continue
+        if b > a:
+            cells.append((a, b, m / (b - a)))
+        else:
+            atoms[a] = atoms.get(a, 0.0) + m
+    cells.sort()
+    edges, values = [], []
+    for a, b, v in cells:
+        if edges and a < edges[-1] - 1e-15 * max(1.0, abs(a)):
+            raise ValueError("comonotone plan has overlapping ramps")
+        if not edges:
+            edges.append(a)
+        elif a > edges[-1]:
+            edges.append(a)
+            values.append(0.0)
+        edges.append(b)
+        values.append(v)
+    pts = [a for a in atoms] + edges
+    if domain is None:
+        domain = (min(pts), max(pts)) if pts else (0.0, 1.0)
+    return Density(domain,
+                   atoms=[(x, m) for x, m in sorted(atoms.items())] or None,
+                   edges=np.asarray(edges), values=np.asarray(values),
+                   normalize=False)
+
+
+def _ref_plan_segments(r, d):
+    qr, qd = quantile_of(r), quantile_of(d)
+    z, V = _pwlin.align([(qr.z, qr.values), (qd.z, qd.values)])
+    segs = []
+    for k in range(len(z) - 1):
+        dz = z[k + 1] - z[k]
+        if dz <= 0:
+            continue
+        segs.append((dz, V[0, k], V[0, k + 1], V[1, k], V[1, k + 1]))
+    return AssignmentPlan(np.asarray(segs)).segments
+
+
+def _outcome(fn, *args):
+    """The density's fields as bytes, or the ``ValueError`` message."""
+    try:
+        got = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [np.asarray(a, float).tobytes() for a in
+            (got.domain, got.atom_x, got.atom_m, got.edges, got.values)]
 
 
 def test_diagonal_plan_zero_cost():
@@ -148,3 +208,59 @@ def test_marginal_overlap_tolerance_scales_with_the_offset(offset):
         with pytest.raises(ValueError, match="overlapping ramps"):
             _marginal(np.array([first, (0.5, end - overlap * max(1.0, end), end + length)]),
                       None)
+
+
+@st.composite
+def marginal_cases(draw):
+    """One side of an optimal plan's rows, raw-edited, with the domain to read it on.
+
+    The edits are those a plan built by hand may carry: a random row order,
+    zero-mass rows, an atom split into rows at exactly the same position, a
+    ramp split so that its second half starts one ulp before the first ends,
+    and a real overlap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    offset = draw(st.sampled_from([0.0, -50.0, 1e6]))
+    kinds = draw(st.tuples(*[st.sampled_from(["atoms", "mixed", "continuous"])] * 2))
+    r, d = (random_density(rng, domain=(offset, offset + 10.0), kind=k) for k in kinds)
+    plan = optimal_plan(r, d)
+    side = draw(st.sampled_from([[0, 1, 2], [0, 3, 4]]))
+    rows = [tuple(row) for row in plan.segments[:, side]]
+    edits = draw(st.lists(st.sampled_from(["zero", "split-atom", "ulp", "overlap"]),
+                          max_size=4))
+    for edit in edits:
+        k = int(rng.integers(len(rows)))
+        m, a, b = rows[k]
+        if edit == "zero":
+            rows.append((0.0, rng.uniform(a - 1.0, b + 1.0), b))
+        elif edit == "split-atom" and a == b:
+            rows[k] = (0.5 * m, a, a)
+            rows.append((0.5 * m, a, a))
+        elif edit in ("ulp", "overlap") and b > a:
+            c = 0.5 * (a + b)
+            start = np.nextafter(c, -np.inf) if edit == "ulp" else c - 0.25 * (b - a)
+            rows[k] = (0.5 * m, a, c)
+            rows.append((0.5 * m, start, b))
+    rows = np.asarray(rows)[rng.permutation(len(rows))]
+    domain = draw(st.sampled_from([None, (r.domain, d.domain)[side[1] // 3]]))
+    return rows, domain, plan, r, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(marginal_cases())
+def test_marginal_and_plan_equal_the_loop_references(case):
+    rows, domain, plan, r, d = case
+    assert plan.segments.tobytes() == _ref_plan_segments(r, d).tobytes()
+    assert _outcome(_marginal, rows, domain) == _outcome(_ref_marginal, rows, domain)
+    got = check_marginals(plan, r, d)
+    mx = _ref_marginal(plan.segments[:, [0, 1, 2]], r.domain)
+    my = _ref_marginal(plan.segments[:, [0, 3, 4]], d.domain)
+    assert (got.l1_x, got.l1_y) == (densities_l1_distance(mx, r), densities_l1_distance(my, d))
+
+
+@pytest.mark.parametrize("row", [(np.nan, 0.0, 1.0), (np.nan, 2.0, 2.0)])
+def test_marginal_nan_mass_reaches_density(row):
+    rows = np.array([row, (1.0, 3.0, 3.0)])
+    with pytest.raises(ValueError, match="finite"):
+        _marginal(rows, None)
+    assert _outcome(_marginal, rows, None) == _outcome(_ref_marginal, rows, None)

@@ -786,7 +786,7 @@ def test_motion_x_matches_per_cell_loop_with_knots(data, d, drop_cells):
     vel = data.draw(knotted_velocities(d))
     d = _atoms_only(d, drop_cells)
     want = _ref_motion_x(d, vel, 0.0)
-    assert abs(_motion_x(d, vel, 0.0) - want) <= 1e-13 * want
+    assert abs(_motion_x(d, vel, 0.0, vel.slice_arrays(0.0)[0]) - want) <= 1e-13 * want
 
 
 @PROPERTY
@@ -993,12 +993,10 @@ def test_stacked_kernels_equal_per_row_calls(stack, data):
             assert np.array_equal(_pwlin.eval_pw(xq[0], x, V, side), got[:, 0])
     xb, Vb, _ = data.draw(stacks())
     vb = Vb[0]
-    lo, hi = sorted(data.draw(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))))
-    for bounds in ({}, {"lo": lo, "hi": hi}):
-        got = _pwlin.integral_sq_diff(x, V, xb, vb, **bounds)
-        assert got.shape == (len(V),)
-        for g, v in zip(got, V):
-            assert g == _pwlin.integral_sq_diff(x, v, xb, vb, **bounds)
+    got = _pwlin.integral_sq_diff(x, V, xb, vb)
+    assert got.shape == (len(V),)
+    for g, v in zip(got, V):
+        assert g == _pwlin.integral_sq_diff(x, v, xb, vb)
 
 
 @PROPERTY
