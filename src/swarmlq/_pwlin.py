@@ -105,12 +105,16 @@ def bracket(nodes, t):
     ``j + 1``.  Times outside the nodes clip to the ends, and a single node
     gives zeros.
     """
-    # np.clip costs more than the rest on the scalar times most calls take
-    t = np.minimum(np.maximum(np.asarray(t, float), nodes[0]), nodes[-1])
+    # a scalar time stays a numpy scalar: arithmetic on 0-d arrays costs more
+    # than the rest on the scalar times most calls take
+    t = np.asarray(t, float)[()]
     if len(nodes) == 1:
-        return np.zeros(t.shape, int), np.zeros(t.shape)
-    j = np.minimum(nodes.searchsorted(t, side="right") - 1, len(nodes) - 2)  # t >= nodes[0]
-    w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+        return np.zeros(np.shape(t), int), np.zeros(np.shape(t))
+    # the interior nodes bracket t directly, with j in [0, len(nodes) - 2];
+    # a time outside the nodes is clipped into its end bracket
+    j = nodes[1:-1].searchsorted(t, side="right")
+    lo, hi = nodes[j], nodes[j + 1]
+    w = (np.minimum(np.maximum(t, lo), hi) - lo) / (hi - lo)
     at_next = w == 1.0
     return j + at_next, w - at_next  # 0 exactly where w is 1
 
@@ -119,12 +123,14 @@ def blend(rows, j, w, axis=0):
     """``(1 - w) rows[j] + w rows[j + 1]`` along ``axis``, for scalar or vector ``j``, ``w``.
 
     Where ``w == 0`` row ``j`` is returned as it is; row ``j + 1`` is read
-    only where ``w != 0``.  The result is C-contiguous (``np.take``), so
+    only where ``w != 0``.  The result is a new C-contiguous array, so
     reductions along it sum in the same order as on rows filled one by one.
     """
+    if getattr(w, "ndim", 0) == 0:  # np.ndim costs a fifth of this branch
+        lead = (slice(None),) * (axis % rows.ndim)
+        row = rows[lead + (j,)]
+        return row.copy() if w == 0 else (1.0 - w) * row + w * rows[lead + (j + 1,)]
     out = np.take(rows, j, axis=axis)
-    if np.ndim(w) == 0:
-        return out if w == 0 else (1.0 - w) * out + w * np.take(rows, j + 1, axis=axis)
     k = np.flatnonzero(w)
     axis %= out.ndim
     at = (slice(None),) * axis + (k,)

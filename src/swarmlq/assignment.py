@@ -70,7 +70,7 @@ def _marginal(rows, domain):
     slack = 1e-15 * np.maximum(1.0, np.abs(a_r[1:]))  # rounding, at any offset
     if np.any(a_r[1:] < b_r[:-1] - slack):
         raise ValueError("comonotone plan has overlapping ramps")
-    edges, values = _cell_grid(a_r, b_r, v)
+    [(edges, values)] = _cell_grid(a_r, b_r, v)
     atoms = np.column_stack([a[~ramp], m[~ramp]])
     if domain is None:
         pts = np.concatenate([atoms[:, 0], edges])

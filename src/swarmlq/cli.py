@@ -140,17 +140,27 @@ def _write_summary(outdir, cfg, lines):
     return path
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """A CSV of equal-length columns: numbers as ``repr(float)``, anything else as ``str``.
+
+    Each column is read in one pass (``tolist``) and formatted as its rows
+    are written (``repr``); an integer column is written as floats too.
+    """
+    cells = [_column_text(np.asarray(c)) for c in columns]
     with open(path, "w") as f:
         f.write(SCHEMA_LINE + "\n")
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
-                             else str(v) for v in row) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _column_text(c):
+    if c.dtype.kind in "biuf":
+        return map(repr, c.astype(float).tolist())
+    return map(str, c.tolist())
 
 
 def _state_columns(resource, densities):
-    """Column names and per-slice state of a path's CSV.
+    """Column names and the per-slice state of a path's CSV, one column each.
 
     Each atom's position ``pos_i`` when the resource is atoms only and
     every slice keeps them, otherwise the 19 quantiles ``q_0.05`` ...
@@ -159,32 +169,31 @@ def _state_columns(resource, densities):
     n_atoms = len(resource.atom_x)
     atoms_only = n_atoms and not np.any(resource.values > 0)
     if atoms_only and all(len(d.atom_x) == n_atoms for d in densities):
-        return [f"pos_{i}" for i in range(n_atoms)], lambda d: d.atom_x
-    zq = np.linspace(0.05, 0.95, 19)
-    return [f"q_{z:.2f}" for z in zq], lambda d: quantile_of(d)(zq)
-
-
-def _timeseries_rows(sol, resource):
-    bd = sol.breakdown
-    columns, state = _state_columns(resource, sol.trajectory.densities)
-    header = ["t", "cost_assignment", "cost_motion", *columns]
-    return header, [[t, bd.assignment_t[j], bd.motion_z_t[j], *state(sol.trajectory[j])]
-                    for j, t in enumerate(sol.trajectory.t)]
+        names, state = [f"pos_{i}" for i in range(n_atoms)], [d.atom_x for d in densities]
+    else:
+        zq = np.linspace(0.05, 0.95, 19)
+        names, state = [f"q_{z:.2f}" for z in zq], [quantile_of(d)(zq) for d in densities]
+    return names, list(np.reshape(state, (len(densities), len(names))).T)
 
 
 def _emit_solution(sol, scenario, cfg, outdir):
-    header, rows = _timeseries_rows(sol, scenario.resource)
-    _write_csv(outdir / "timeseries.csv", header, rows)
+    bd = sol.breakdown
+    names, state = _state_columns(scenario.resource, sol.trajectory.densities)
+    _write_csv(outdir / "timeseries.csv", ["t", "cost_assignment", "cost_motion", *names],
+               [sol.trajectory.t, bd.assignment_t, bd.motion_z_t, *state])
+    cells = sol.partition.cells
     _write_csv(outdir / "partition.csv", ["z_lo", "z_hi", "level", "mass"],
-               sol.partition.to_rows())
+               [cells[:, 0], cells[:, 1], sol.partition.levels, cells[:, 1] - cells[:, 0]])
     fam = sol.family
-    cell_rows = [[label, t, fam.p[j], fam.y[i, j], fam.r[i, j], fam.u[i, j], fam.d[i, j]]
-                 for i, label in enumerate(fam.labels) for j, t in enumerate(fam.t)]
-    _write_csv(outdir / "cells.csv", ["cell", "t", "p", "y", "r", "u", "d"], cell_rows)
+    nt = len(fam.t)
+    _write_csv(outdir / "cells.csv", ["cell", "t", "p", "y", "r", "u", "d"],
+               [[label for label in fam.labels for _ in range(nt)],
+                np.tile(fam.t, len(fam.labels)), np.tile(fam.p, len(fam.labels)),
+                fam.y.ravel(), fam.r.ravel(), fam.u.ravel(), fam.d.ravel()])
     if sol.frequency_table is not None:
         _write_csv(outdir / "freq.csv",
                    ["cell", "k", "omega", "d_hat_abs", "r_hat_abs", "gain"],
-                   sol.frequency_table)
+                   list(zip(*sol.frequency_table)))
     lines = [
         f"cost = {sol.cost!r}",
         f"assignment_integral = {sol.breakdown.assignment!r}",
@@ -235,9 +244,8 @@ def _cmd_simulate(cfg, outdir):
     nt = int(cfg.get("grid.nt", 1000))
     path = advect_density(resource, v, horizon, nt,
                           save_every=max(1, nt // 200))
-    columns, state = _state_columns(resource, path.densities)
-    rows = [[t, *state(d)] for t, d in zip(path.t, path.densities)]
-    _write_csv(outdir / "timeseries.csv", ["t", *columns], rows)
+    names, state = _state_columns(resource, path.densities)
+    _write_csv(outdir / "timeseries.csv", ["t", *names], [path.t, *state])
     _write_summary(outdir, cfg, [f"final_mass = {path[-1].mass!r}"])
     print(f"simulated {len(path)} slices")
     return 0

@@ -226,21 +226,7 @@ class QuantileFunction:
     """
 
     def __init__(self, z, values, domain=None):
-        z = np.asarray(z, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if len(z) != len(values) or len(z) < 1:
-            raise ValueError("breakpoint arrays must be nonempty and equal length")
-        if np.any(np.diff(z) < 0):
-            raise ValueError("quantile breakpoints must have nondecreasing z")
-        scale = max(abs(values[0]), abs(values[-1]), 1.0)
-        if np.any(np.diff(values) < -1e-9 * scale):
-            raise ValueError("quantile values must be nondecreasing")
-        values = np.maximum.accumulate(values)
-        if abs(z[0]) > 1e-9 or abs(z[-1] - 1.0) > 1e-9:
-            raise ValueError("quantile must span z in [0, 1]")
-        z = z.copy()
-        z[0], z[-1] = 0.0, 1.0
-        z, values = _pwlin.dedupe(z, values)
+        z, values = _pwlin.dedupe(*_checked_rows(z, values))
         self.z = z
         self.values = values
         if domain is None:
@@ -253,12 +239,7 @@ class QuantileFunction:
     @property
     def flat_intervals(self):
         """Array of rows ``(z_lo, z_hi, value)``, one per atom."""
-        z, v = self.z, self.values
-        brk = np.flatnonzero(v[1:] != v[:-1]) + 1  # first node of each later run
-        lo = np.concatenate([[0], brk])
-        hi = np.concatenate([brk - 1, [len(z) - 1]])
-        keep = z[hi] > z[lo]
-        return np.column_stack([z[lo[keep]], z[hi[keep]], v[lo[keep]]])
+        return np.column_stack(_flats(self.z, self.values[None])[1:])
 
     def mean(self):
         return float(_pwlin.integral(self.z, self.values, 0.0, 1.0)[0])
@@ -339,47 +320,126 @@ def cdf_from_quantile(q):
     return CDFFunction(x, F, q.domain)
 
 
-def density_from_quantile(q, domain=None):
-    """Pushforward of the uniform density on [0, 1] through ``q``.
+def _checked_rows(z, V):
+    """Quantile breakpoints ``z`` and value rows ``V`` (one row, or a stack), checked.
 
-    Flats map to atoms with mass equal to the flat length; increasing affine
-    stretches map to cells with value ``dz / dx``; jumps map to zero-mass
-    gaps.  Exact for piecewise-linear quantiles.
+    ``z`` must be nondecreasing and span ``[0, 1]`` within ``1e-9``; its ends
+    are then set to 0 and 1 exactly.  Each row must be nondecreasing within
+    ``1e-9`` of its scale (the larger of 1 and its end values) and is then
+    made exactly monotone.
     """
-    z, v = q.z, q.values
-    dv = np.diff(v)
-    scale = max(abs(v[0]), abs(v[-1]), 1.0)
-    if np.any(dv < -1e-9 * scale):
-        raise ValueError("quantile is non-monotone beyond tolerance")
-    flats = q.flat_intervals
+    z = np.asarray(z, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if z.ndim != 1 or V.shape[-1:] != z.shape or len(z) < 1:
+        raise ValueError("breakpoint arrays must be nonempty and equal length")
+    if np.any(np.diff(z) < 0):
+        raise ValueError("quantile breakpoints must have nondecreasing z")
+    if abs(z[0]) > 1e-9 or abs(z[-1] - 1.0) > 1e-9:
+        raise ValueError("quantile must span z in [0, 1]")
+    dV = np.diff(V, axis=-1)
+    if np.any(dV < 0):  # only a dip needs the scale
+        scale = np.maximum(np.maximum(np.abs(V[..., :1]), np.abs(V[..., -1:])), 1.0)
+        if np.any(dV < -1e-9 * scale):
+            raise ValueError("quantile values must be nondecreasing")
+    z = z.copy()
+    z[0], z[-1] = 0.0, 1.0
+    return z, np.maximum.accumulate(V, axis=-1)
+
+
+def density_from_quantile(q, domain=None):
+    """Pushforward of the uniform density on [0, 1] through a quantile, or each row of a stack.
+
+    ``q`` is a ``QuantileFunction``, which gives one ``Density``, or a pair
+    ``(z, Q)`` of shared breakpoints and a ``(k, n)`` stack of value rows,
+    checked as ``QuantileFunction`` checks its values, which gives a list of
+    ``k`` densities.  Each density's domain is ``domain`` (by default
+    ``q.domain``, or for a stack none) widened to cover its row, and padded
+    when that leaves no interval (a constant row).
+
+    Flats (runs of one value over a positive z length) map to atoms with
+    mass equal to the flat length; increasing affine stretches map to cells
+    with value ``dz / dx``; jumps map to zero-mass gaps.  Exact for
+    piecewise-linear quantiles.  All rows are read in one array pass; only
+    each ``Density`` is built per row.
+    """
+    if isinstance(q, QuantileFunction):
+        return _densities(q.z, q.values[None], q.domain if domain is None else domain)[0]
+    return _densities(*q, domain)
+
+
+def _densities(z, rows, domain):
+    rows = np.asarray(rows, dtype=float)
+    z, Q = _checked_rows(z, rows)
+    if Q.ndim != 2:
+        raise ValueError("quantile rows must be a (k, n) stack")
+    # each row's domain: its end values as given, widened as ``min`` and
+    # ``max`` of plain floats would widen it (they keep the domain's end on a tie)
+    lo, hi = rows[:, 0], rows[:, -1]
+    if domain is not None:
+        lo = np.where(lo < domain[0], lo, domain[0])
+        hi = np.where(hi > domain[1], hi, domain[1])
+    empty = ~(hi > lo)
+    if np.any(empty):  # a constant row: pad so its atom has a real interval
+        pad = np.maximum(1.0, np.abs(lo)) * 0.5
+        lo, hi = np.where(empty, lo - pad, lo), np.where(empty, hi + pad, hi)
+    k, n = Q.shape
+    row, z_lo, z_hi, x = _flats(z, Q)
+    atoms = _split_rows(np.column_stack([x, z_hi - z_lo]), np.bincount(row, minlength=k))
     dz = np.diff(z)
-    cell = (dz > 0) & (dv > 0)
-    edges, values = _cell_grid(v[:-1][cell], v[1:][cell], dz[cell] / dv[cell])
-    if domain is None:
-        lo, hi = q.domain
-        if not hi > lo:  # quantile constant: pad so the atom has a real interval
-            pad = max(1.0, abs(lo)) * 0.5
-            lo, hi = lo - pad, hi + pad
-        domain = (lo, hi)
-    return Density(
-        domain,
-        atoms=np.column_stack([flats[:, 2], flats[:, 1] - flats[:, 0]]),
-        edges=edges,
-        values=values,
-    )
+    dv = np.diff(Q, axis=1)
+    cr, c = np.nonzero((dz > 0) & (dv > 0))
+    # a cell opens at the first of its start's repeats, the node ``_pwlin.dedupe``
+    # keeps (a repeat may differ from it in the sign of zero)
+    kept = np.ones((k, n), dtype=bool)
+    kept[:, 1:] = (dz != 0) | (dv != 0)
+    start = np.maximum.accumulate(np.where(kept, np.arange(n), 0), axis=1)[cr, c]
+    grids = _cell_grid(Q[cr, start], Q[cr, c + 1], dz[c] / dv[cr, c], cr, k)
+    return [Density((lo[i], hi[i]), atoms=a, edges=e, values=v)
+            for i, (a, (e, v)) in enumerate(zip(atoms, grids))]
 
 
-def _cell_grid(a, b, values):
+def _flats(z, Q):
+    """The runs of one value over a positive z length in each row of ``Q``.
+
+    Returns ``(row, z_lo, z_hi, value)`` per run, in row order and along
+    each row.
+    """
+    step = Q[:, 1:] != Q[:, :-1]
+    starts = np.ones(Q.shape, dtype=bool)
+    starts[:, 1:] = step
+    ends = np.ones(Q.shape, dtype=bool)
+    ends[:, :-1] = step
+    row, first = np.nonzero(starts)
+    z_lo, z_hi = z[first], z[np.nonzero(ends)[1]]
+    keep = z_hi > z_lo
+    return row[keep], z_lo[keep], z_hi[keep], Q[row, first][keep]
+
+
+def _cell_grid(a, b, values, row=None, k=1):
     """Edges and values of the sorted cells ``[a, b]``, with each gap a zero-value cell.
 
-    A cell adds its left edge only where it opens the grid or a gap precedes
-    it; a cell that starts at or before the previous end continues the grid.
+    The cells of each of ``k`` rows (``row``, nondecreasing; all row 0 by
+    default) make one grid; one ``(edges, values)`` pair is returned per
+    row.  A cell adds its left edge only where it opens its row's grid or a
+    gap precedes it; a cell that starts at or before the previous end
+    continues the grid.
     """
-    opens = np.ones(len(a), dtype=bool)
-    opens[1:] = a[1:] > b[:-1]
-    gap = opens.copy()
-    gap[:1] = False
-    return _interleave(a, b, opens), _interleave(np.zeros(len(a)), values, gap)
+    row = np.zeros(len(a), dtype=int) if row is None else row
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = row[1:] != row[:-1]
+    opens = first.copy()
+    opens[1:] |= a[1:] > b[:-1]
+    edges = _interleave(a, b, opens)
+    values = _interleave(np.zeros(len(a)), values, opens & ~first)
+    cells = np.bincount(row, minlength=k)
+    n_edges = cells + np.bincount(row[opens], minlength=k)
+    return list(zip(_split_rows(edges, n_edges), _split_rows(values, n_edges - (cells > 0))))
+
+
+def _split_rows(a, counts):
+    """``a`` cut into consecutive pieces of ``counts`` items, one view each."""
+    ends = np.cumsum(counts).tolist()
+    return [a[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
 def pushforward(d, f, nz=2048):

@@ -119,9 +119,10 @@ class QuantilePath(DensityPath):
     """Density path held as quantile rows ``Q`` on shared percentile nodes.
 
     Row ``k`` is the quantile of the slice at ``t[k]``; the slice's domain
-    is ``domain`` widened to cover the row.  The densities are built from
-    the rows the first time ``densities`` or ``path[k]`` is read, and then
-    kept as one list, so an assignment into it persists.
+    is ``domain`` widened to cover the row.  The first time ``densities`` or
+    ``path[k]`` is read, one ``density_from_quantile`` call builds every
+    slice's density from the stacked rows; they are then kept as one list,
+    so an assignment into it persists.
     """
 
     def __init__(self, t, z_nodes, Q, domain):
@@ -134,8 +135,7 @@ class QuantilePath(DensityPath):
     @property
     def densities(self):
         if self._densities is None:
-            self._densities = [density_from_quantile(self.quantile(k))
-                               for k in range(len(self))]
+            self._densities = density_from_quantile((self.z_nodes, self.Q), self.domain)
         return self._densities
 
     def __len__(self):

@@ -247,3 +247,65 @@ def test_reference_scenario_terminal_contraction(tmp_path):
     dbar = averaged_density(dem, build_partition(quantile_of(res)))
     ratio = wasserstein2(final_density, dbar) / wasserstein2(res, dbar)
     assert ratio == pytest.approx(1.0 / np.cosh(5.0), rel=1e-6)
+
+
+def _ref_write_csv(path, header, rows):
+    """The per-row writer: one type test and one ``repr`` per value."""
+    with open(path, "w") as f:
+        f.write("# schema=1\n")
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(repr(float(v)) if isinstance(v, (int, float, np.floating))
+                             else str(v) for v in row) + "\n")
+
+
+def _ref_emit_csvs(sol, resource, outdir):
+    """A solution's CSVs, row by row, from the solution's own fields."""
+    from swarmlq import quantile_of
+
+    dens = sol.trajectory.densities
+    n_atoms = len(resource.atom_x)
+    if n_atoms and not np.any(resource.values > 0) and all(len(d.atom_x) == n_atoms
+                                                           for d in dens):
+        names, state = [f"pos_{i}" for i in range(n_atoms)], lambda d: d.atom_x
+    else:
+        zq = np.linspace(0.05, 0.95, 19)
+        names, state = [f"q_{z:.2f}" for z in zq], lambda d: quantile_of(d)(zq)
+    bd = sol.breakdown
+    _ref_write_csv(outdir / "timeseries.csv", ["t", "cost_assignment", "cost_motion", *names],
+                   [[t, bd.assignment_t[j], bd.motion_z_t[j], *state(dens[j])]
+                    for j, t in enumerate(sol.trajectory.t)])
+    _ref_write_csv(outdir / "partition.csv", ["z_lo", "z_hi", "level", "mass"],
+                   sol.partition.to_rows())
+    fam = sol.family
+    _ref_write_csv(outdir / "cells.csv", ["cell", "t", "p", "y", "r", "u", "d"],
+                   [[label, t, fam.p[j], fam.y[i, j], fam.r[i, j], fam.u[i, j], fam.d[i, j]]
+                    for i, label in enumerate(fam.labels) for j, t in enumerate(fam.t)])
+    if sol.frequency_table is not None:
+        _ref_write_csv(outdir / "freq.csv",
+                       ["cell", "k", "omega", "d_hat_abs", "r_hat_abs", "gain"],
+                       sol.frequency_table)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("solve-static", STATIC_CFG),
+    ("solve-general", STATIC_CFG + "grid.nt = 100\n"),
+    ("solve-periodic", PERIODIC_CFG),
+    ("solve-static", MIXED_RESOURCE + STATIC_CFG.replace("resource.", "# resource.")),
+])
+def test_column_writer_equals_row_writer(tmp_path, command, text):
+    # the CSVs are written a column at a time; the bytes are the per-row writer's
+    from swarmlq import cli
+
+    cfg = parse_config(text)
+    scenario = cli._scenario_from(cfg)
+    sol = getattr(cli, command.replace("-", "_"))(scenario)
+    got, want = tmp_path / "got", tmp_path / "want"
+    got.mkdir()
+    want.mkdir()
+    cli._emit_solution(sol, scenario, cfg, got)
+    _ref_emit_csvs(sol, scenario.resource, want)
+    names = sorted(p.name for p in want.iterdir())
+    assert names == sorted(p.name for p in got.iterdir() if p.suffix == ".csv")
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name

@@ -292,6 +292,13 @@ def _ref_density_of_row(z_nodes, row, domain):
     return density_from_quantile(QuantileFunction(z_nodes, row, domain=domain))
 
 
+def _ref_row_densities(z, Q, domain):
+    """Density of each quantile row alone; every row is checked before any density is built."""
+    qs = [QuantileFunction(z, row, domain=(row[0], row[-1]) if domain is None else
+                           (min(domain[0], row[0]), max(domain[1], row[-1]))) for row in Q]
+    return [_ref_density_from_quantile(q) for q in qs]
+
+
 def _ref_average_wrt_partition(qd, p):
     """Partition average with the end limits and gap ends all evaluated."""
     lo, hi = p.cells[:, 0], p.cells[:, 1]
@@ -498,6 +505,46 @@ def quantiles(draw):
         z[-1] = 1.0
     v = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(dv)])
     return QuantileFunction(z / z[-1], v)
+
+
+@st.composite
+def row_stacks(draw):
+    """Quantile rows on shared nodes, a path domain, and edits that break the rows.
+
+    Rows have atoms (flats), cells (rises) and jumps (repeated z), constant
+    rows, signed zeros, and offsets 0, -50 and 1e6; the domain may be none,
+    cover the rows, cut them, or be a point.  An edit dips a row, by a
+    rounding or by a real step, or moves the span of z off [0, 1].
+    """
+    n = draw(st.integers(2, 10))
+    dz = draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]), min_size=n - 1,
+                       max_size=n - 1))
+    z = np.concatenate([[0.0], np.cumsum(dz)])
+    z = z / z[-1] if z[-1] > 0 else np.linspace(0.0, 1.0, n)
+    base = draw(st.sampled_from([0.0, -50.0, 1e6]))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        dv = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0]), min_size=n - 1,
+                           max_size=n - 1))
+        if draw(st.integers(0, 4)) == 0:
+            dv = [0.0] * (n - 1)  # a constant row: one atom
+        shift = draw(st.sampled_from([0.0, 0.0, 0.5, -3.0]))
+        rows.append(base + shift + np.concatenate([[0.0], np.cumsum(dv)]))
+    Q = np.array(rows)
+    signs = np.asarray(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=Q.size,
+                                     max_size=Q.size))).reshape(Q.shape)
+    Q = np.where(Q == 0.0, signs, Q)
+    edit = draw(st.sampled_from(["none"] * 6 + ["round", "dip", "span"]))
+    r, c = draw(st.integers(0, len(Q) - 1)), draw(st.integers(0, n - 1))
+    if edit == "round":
+        Q[r, c] -= 1e-10 * max(1.0, abs(base))
+    elif edit == "dip":
+        Q[r, c] -= 1.0
+    elif edit == "span":
+        z = z * 1.01
+    domain = draw(st.sampled_from([None, (base - 5.0, base + 10.0), (base + 0.1, base + 0.2),
+                                   (base, base)]))
+    return z, Q, domain
 
 
 @st.composite
@@ -832,6 +879,32 @@ def test_density_from_quantile_matches_loop_reference(q):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
+def _bits(d):
+    return (np.asarray(d.domain).tobytes(), d.atom_x.tobytes(), d.atom_m.tobytes(),
+            d.edges.tobytes(), d.values.tobytes())
+
+
+@PROPERTY
+@given(row_stacks())
+def test_stacked_density_from_quantile_equals_rows_one_by_one(case):
+    z, Q, domain = case
+    try:
+        want = _ref_row_densities(z, Q, domain)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            density_from_quantile((z, Q), domain)
+        assert str(got.value) == str(e)
+        return
+    got = density_from_quantile((z, Q), domain)
+    assert len(got) == len(Q)
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+    # one quantile is the one-row stack
+    q = QuantileFunction(z, Q[0])
+    assert _bits(density_from_quantile(q)) == _bits(density_from_quantile((q.z, q.values[None]),
+                                                                          q.domain)[0])
+
+
 @PROPERTY
 @given(st.lists(densities(), min_size=2, max_size=4),
        st.lists(st.floats(-1.0, 4.0), min_size=1, max_size=12))
@@ -1043,7 +1116,7 @@ def test_quantile_path_builds_densities_on_first_read(monkeypatch):
     built = []
     real = transport.density_from_quantile
     monkeypatch.setattr(transport, "density_from_quantile",
-                        lambda q: built.append(q) or real(q))
+                        lambda q, domain=None: built.append(q) or real(q, domain))
     z = np.array([0.0, 0.5, 0.5, 1.0])
     path = QuantilePath([0.0, 1.0, 2.0], z, [[1.0, 2.0, 3.0, 4.0]] * 3, (0.0, 10.0))
     assert len(path) == 3
@@ -1052,10 +1125,13 @@ def test_quantile_path_builds_densities_on_first_read(monkeypatch):
     assert q.domain == (0.0, 10.0)
     assert not built
     path[1]
-    assert len(built) == 3
+    assert len(built) == 1  # one stacked call for every slice
     path.densities
     path[2]
-    assert len(built) == 3
+    assert len(built) == 1
+    first = path[0]
+    path.densities[-1] = first
+    assert path[-1] is first and len(built) == 1
     assert repr(path) == "QuantilePath(3 slices, 4 nodes)"
 
 
